@@ -29,6 +29,7 @@ from .errors import (
     DomainError,
     IdentifiabilityError,
     InitializationError,
+    NumericError,
 )
 from .families import Family
 from .kernels import bandwidth, eval_kernel
@@ -37,11 +38,9 @@ from .model import (
     ModelForm,
     ModelSpec,
     ParamVector,
+    evaluate,
     indicator_segment,
-    neg_hessian,
     objective,
-    score,
-    score_covariance,
     segment_term,
 )
 
@@ -130,7 +129,8 @@ def glm_irls(
     """Newton (IRLS) fit of a natural-link GLM.
 
     Returns (beta, XtWX) at the optimum.  Raises ConvergenceError when the
-    iteration diverges or the normal equations are singular.
+    iteration diverges, the normal equations are singular, or max_iter
+    steps pass without convergence.
     """
     n, p = X.shape
     beta = np.zeros(p)
@@ -142,7 +142,6 @@ def glm_irls(
         except np.linalg.LinAlgError:
             raise ConvergenceError("singular GLM design") from None
         return beta, G
-    G = None
     for _ in range(max_iter):
         eta = X @ beta
         mu = families.mean(family, eta)
@@ -158,7 +157,7 @@ def glm_irls(
         if np.max(np.abs(step)) < tol:
             return beta_new, G
         beta = beta_new
-    return beta, G
+    raise ConvergenceError(f"IRLS did not converge in {max_iter} iterations")
 
 
 def _auto_grid(x: np.ndarray) -> np.ndarray:
@@ -242,19 +241,13 @@ def fit(
     data.check_family(spec.family)
     xs = np.sort(data.x)
     lo, hi = xs[1], xs[-2]
-    p = np.clip(init.to_array(), None, None)
+    p = init.to_array()
     p[3] = np.clip(p[3], lo, hi)
     n_par = spec.n_params
-    q = objective(spec, ParamVector.from_array(p), data, h)
-    J = neg_hessian(spec, ParamVector.from_array(p), data, h)
-    Sig = score_covariance(spec, ParamVector.from_array(p), data, h)
-    S = score(spec, ParamVector.from_array(p), data, h)
+    q, S, J, Sig = evaluate(spec, ParamVector.from_array(p), data, h)
+    converged = False
     it = 0
     for it in range(1, config.max_iter + 1):
-        params = ParamVector.from_array(p)
-        S = score(spec, params, data, h)
-        J = neg_hessian(spec, params, data, h)
-        Sig = score_covariance(spec, params, data, h)
         if _chol_ok(J):
             M = J
         else:
@@ -273,60 +266,42 @@ def fit(
         step = np.linalg.solve(M, S)
         frac = 1.0
         accepted = False
-        p_new, q_new = p, q
         for _ in range(config.step_halving_max):
             trial = p + frac * step
             trial[3] = np.clip(trial[3], lo, hi)
             if abs(trial[2]) < _BETA2_EPS:
                 trial[2] = np.sign(trial[2] or 1.0) * _BETA2_EPS
-            q_trial = objective(spec, ParamVector.from_array(trial), data, h)
+            try:
+                q_trial = objective(spec, ParamVector.from_array(trial), data, h)
+            except NumericError:
+                # A trial that overflows is rejected like one that descends.
+                q_trial = -np.inf
             if q_trial > q:
-                p_new, q_new, accepted = trial, q_trial, True
+                accepted = True
                 break
             frac /= 2.0
-        taken = np.linalg.norm(p_new - p)
-        p, q = p_new, q_new
         grad_ok = np.max(np.abs(S)) < config.tol * data.n
+        taken = 0.0
+        if accepted:
+            taken = np.linalg.norm(trial - p)
+            p = trial
+            q, S, J, Sig = evaluate(spec, ParamVector.from_array(p), data, h)
         if grad_ok and taken < config.tol:
-            params = ParamVector.from_array(p)
-            J = neg_hessian(spec, params, data, h)
-            Sig = score_covariance(spec, params, data, h)
-            S = score(spec, params, data, h)
-            if _chol_ok(J):
-                if p[3] <= lo or p[3] >= hi:
-                    raise BoundaryError(
-                        f"change point estimate pinned at the covariate boundary ({p[3]:.6g})"
-                    )
-                return FitResult(
-                    params=params,
-                    objective_value=q,
-                    iterations=it,
-                    converged=True,
-                    grad_norm=float(np.max(np.abs(S))),
-                    h_used=h,
-                    neg_hessian_at_opt=J,
-                    score_cov_at_opt=Sig,
+            # Stationary; a maximum only if the curvature is negative definite.
+            converged = _chol_ok(J)
+            if converged and (p[3] <= lo or p[3] >= hi):
+                raise BoundaryError(
+                    f"change point estimate pinned at the covariate boundary ({p[3]:.6g})"
                 )
-            # Stationary but indefinite curvature: not a usable maximum.
-            return FitResult(
-                params=params,
-                objective_value=q,
-                iterations=it,
-                converged=False,
-                grad_norm=float(np.max(np.abs(S))),
-                h_used=h,
-                neg_hessian_at_opt=J,
-                score_cov_at_opt=Sig,
-            )
+            break
         if not accepted:
             # No ascent possible and gradient still large: report partial.
             break
-    params = ParamVector.from_array(p)
     return FitResult(
-        params=params,
+        params=ParamVector.from_array(p),
         objective_value=q,
         iterations=it,
-        converged=False,
+        converged=converged,
         grad_norm=float(np.max(np.abs(S))),
         h_used=h,
         neg_hessian_at_opt=J,

@@ -11,7 +11,6 @@ side of the estimated change point.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,19 +25,7 @@ __all__ = [
     "delta_se_tau",
     "bootstrap_ci",
     "run_inference",
-    "worker_count",
 ]
-
-
-def worker_count() -> int:
-    """Worker cap for replicate-parallel loops; honors KINKFIT_THREADS."""
-    env = os.environ.get("KINKFIT_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,5 @@
-"""Smoothed change-point model: linear predictor, objective, and exact
-first and second derivatives.
+"""Smoothed change-point model: objective and its exact first and second
+derivatives.
 
 The linear predictor is
 
@@ -31,11 +31,8 @@ __all__ = [
     "Dataset",
     "segment_term",
     "indicator_segment",
-    "linear_predictor",
     "objective",
-    "score",
-    "neg_hessian",
-    "score_covariance",
+    "evaluate",
 ]
 
 
@@ -197,31 +194,19 @@ def _check_dims(spec: ModelSpec, params: ParamVector, data: Dataset) -> None:
         )
 
 
-def _parts(spec: ModelSpec, params: ParamVector, data: Dataset, h: float):
-    """theta, the n x (4+k) Jacobian d theta/d delta, and the tau-second
-    derivative pieces shared by the matrix operations."""
+def _theta(spec: ModelSpec, params: ParamVector, data: Dataset, h: float):
+    """theta_i for every observation, with the segment term and its two
+    tau-derivatives it was built from."""
     _check_dims(spec, params, data)
     seg, d_tau, d_tau2 = segment_term(spec.form, data.x, params.tau, h, spec.kernel)
     theta = params.beta0 + params.beta1 * data.x + params.beta2 * seg
     if params.gamma:
         theta = theta + data.z @ np.asarray(params.gamma)
-    cols = [np.ones(data.n), data.x, seg, params.beta2 * d_tau]
-    if data.z is not None:
-        cols.extend(data.z.T)
-    D = np.column_stack(cols)
-    return theta, D, d_tau, d_tau2
+    return theta, seg, d_tau, d_tau2
 
 
-def linear_predictor(spec: ModelSpec, params: ParamVector, data: Dataset, h: float):
-    """theta_i for every observation."""
-    return _parts(spec, params, data, h)[0]
-
-
-def objective(spec: ModelSpec, params: ParamVector, data: Dataset, h: float) -> float:
-    """Smoothed log-likelihood sum(y * theta - b(theta)), dropping the
-    parameter-free log c(y) term."""
-    theta = linear_predictor(spec, params, data, h)
-    terms = data.y * theta - families.cumulant(spec.family, theta)
+def _loglik(family: Family, theta: np.ndarray, y: np.ndarray) -> float:
+    terms = y * theta - families.cumulant(family, theta)
     if not np.all(np.isfinite(terms)):
         idx = int(np.flatnonzero(~np.isfinite(terms))[0])
         raise NumericError(
@@ -230,42 +215,37 @@ def objective(spec: ModelSpec, params: ParamVector, data: Dataset, h: float) -> 
     return float(np.sum(terms))
 
 
-def score(spec: ModelSpec, params: ParamVector, data: Dataset, h: float) -> np.ndarray:
-    """Gradient of the objective, ordered (beta0, beta1, beta2, tau, gamma...)."""
-    theta, D, _, _ = _parts(spec, params, data, h)
-    resid = data.y - families.mean(spec.family, theta)
-    s = D.T @ resid
-    if not np.all(np.isfinite(s)):
-        raise NumericError("non-finite score")
-    return s
+def objective(spec: ModelSpec, params: ParamVector, data: Dataset, h: float) -> float:
+    """Smoothed log-likelihood sum(y * theta - b(theta)), dropping the
+    parameter-free log c(y) term."""
+    return _loglik(spec.family, _theta(spec, params, data, h)[0], data.y)
 
 
-def neg_hessian(spec: ModelSpec, params: ParamVector, data: Dataset, h: float) -> np.ndarray:
-    """Negated Hessian of the objective.
+def evaluate(spec: ModelSpec, params: ParamVector, data: Dataset, h: float):
+    """Objective, score, negated Hessian and score covariance in one pass.
 
-    Gram part: sum_i b''(theta_i) (dtheta_i)(dtheta_i)^t.  The residual
-    part only touches the (beta2, tau) and (tau, tau) entries, the two
+    Returns (Q, S, J, Sigma), ordered (beta0, beta1, beta2, tau, gamma...).
+    Q is the value of objective().  With D the n x (4+k) Jacobian
+    d theta/d delta, S = D^t (y - b'(theta)) and Sigma is the weighted Gram
+    matrix sum_i b''(theta_i) D_i D_i^t, the model covariance of the score
+    (positive semidefinite by construction).  J equals Sigma plus the
+    residual terms of the (beta2, tau) and (tau, tau) entries, the two
     places where theta is nonlinear in the parameters.
     """
-    theta, D, d_tau, d_tau2 = _parts(spec, params, data, h)
-    w = families.variance(spec.family, theta)
+    theta, seg, d_tau, d_tau2 = _theta(spec, params, data, h)
+    q = _loglik(spec.family, theta, data.y)
+    cols = [np.ones(data.n), data.x, seg, params.beta2 * d_tau]
+    if data.z is not None:
+        cols.extend(data.z.T)
+    D = np.column_stack(cols)
     resid = data.y - families.mean(spec.family, theta)
-    J = (D * w[:, None]).T @ D
+    w = families.variance(spec.family, theta)
+    S = D.T @ resid
+    Sig = (D * w[:, None]).T @ D
+    J = Sig.copy()
     J[2, 3] -= float(resid @ d_tau)
     J[3, 2] = J[2, 3]
     J[3, 3] -= float(resid @ (params.beta2 * d_tau2))
-    if not np.all(np.isfinite(J)):
-        raise NumericError("non-finite negative Hessian")
-    return J
-
-
-def score_covariance(spec: ModelSpec, params: ParamVector, data: Dataset, h: float) -> np.ndarray:
-    """Model covariance of the score: the weighted Gram matrix
-    sum_i b''(theta_i) (dtheta_i)(dtheta_i)^t, positive semidefinite by
-    construction."""
-    theta, D, _, _ = _parts(spec, params, data, h)
-    w = families.variance(spec.family, theta)
-    S = (D * w[:, None]).T @ D
-    if not np.all(np.isfinite(S)):
-        raise NumericError("non-finite score covariance")
-    return S
+    if not (np.all(np.isfinite(S)) and np.all(np.isfinite(J))):
+        raise NumericError("non-finite score or negative Hessian")
+    return q, S, J, Sig

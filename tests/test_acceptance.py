@@ -18,7 +18,7 @@ from kinkfit.estimator import fit, fit_beta_given_tau, glm_irls
 from kinkfit.families import Family
 from kinkfit.inference import sandwich_cov
 from kinkfit.kernels import custom_kernel, exp_cdf_kernel, kernel_order, normal_cdf_kernel, validate
-from kinkfit.model import ParamVector, indicator_segment, objective, score
+from kinkfit.model import ParamVector, evaluate, indicator_segment, objective
 from kinkfit.simulate import SimScenario, generate, load_scenario, run
 
 from conftest import make_case_control_like, make_data, make_spec
@@ -143,11 +143,9 @@ def test_criterion_5_derivative_oracles():
         spec, params, data, h = rand_instance(
             100 + i, form=forms[i % 3], family=families[(i // 3) % 3],
             k=i % 2, h=hs[i % len(hs)])
-        s = score(spec, params, data, h)
+        _, s, J, _ = evaluate(spec, params, data, h)
         fs = fd_score(spec, params, data, h)
         worst_s = max(worst_s, np.max(np.abs(s - fs)) / max(1.0, np.max(np.abs(fs))))
-        from kinkfit.model import neg_hessian
-        J = neg_hessian(spec, params, data, h)
         fj = fd_neg_hessian(spec, params, data, h)
         worst_j = max(worst_j, np.max(np.abs(J - fj)) / max(1.0, np.max(np.abs(fj))))
     report("criterion 5: analytic derivatives vs finite differences (50 instances)", [

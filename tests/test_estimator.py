@@ -13,7 +13,7 @@ from kinkfit.estimator import (
 )
 from kinkfit.families import Family
 from kinkfit.kernels import bandwidth
-from kinkfit.model import Dataset, ParamVector, indicator_segment, objective
+from kinkfit.model import Dataset, ParamVector, evaluate, indicator_segment, objective
 
 from conftest import TRUE, make_data, make_spec
 
@@ -93,6 +93,7 @@ def test_fit_is_deterministic():
     assert r1.iterations == r2.iterations
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_fit_never_decreases_the_objective():
     spec = make_spec(family=Family.BERNOULLI_LOGIT, bandwidth="n^-3")
     data = make_data(spec, n=500, seed=7)
@@ -103,6 +104,34 @@ def test_fit_never_decreases_the_objective():
     assert res.objective_value >= objective(spec, init, data, h) - 1e-12
     assert res.objective_value == pytest.approx(
         objective(spec, res.params, data, h))
+
+    # A warm start so far below the data that the first full Newton steps
+    # overflow exp(theta): those trials must be halved, not raise.
+    spec = make_spec(family=Family.POISSON_LOG, form="quadratic-linear")
+    data = make_data(spec, params=ParamVector(1.0, 0.5, -0.4, 0.3), n=400, seed=0)
+    h = bandwidth(spec.bw, data.n)
+    init = ParamVector(-10.0, 0.5, -0.4, 0.3)
+    res = fit(spec, data, init=init)
+    assert res.objective_value >= objective(spec, init, data, h) - 1e-12
+    assert res.objective_value == pytest.approx(
+        objective(spec, res.params, data, h))
+
+
+@pytest.mark.parametrize("max_iter", [100, 1])
+def test_fit_result_describes_the_returned_params(max_iter):
+    # The gradient norm and both curvature matrices are those of the
+    # returned point, also when the iteration limit stops the fit.
+    spec = make_spec(family=Family.BERNOULLI_LOGIT, bandwidth="n^-3")
+    data = make_data(spec, n=500, seed=7)
+    h = bandwidth(spec.bw, data.n)
+    res = fit(spec, data, FitConfig(max_iter=max_iter))
+    assert res.converged == (max_iter == 100)
+    q, S, J, Sig = evaluate(spec, res.params, data, h)
+    assert q == objective(spec, res.params, data, h)
+    assert res.objective_value == q
+    assert res.grad_norm == np.max(np.abs(S))
+    np.testing.assert_array_equal(res.neg_hessian_at_opt, J)
+    np.testing.assert_array_equal(res.score_cov_at_opt, Sig)
 
 
 def test_fit_keeps_tau_interior():

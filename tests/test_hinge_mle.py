@@ -1,7 +1,9 @@
 """The exact hinge-logit MLE that criterion 2 uses as its reference."""
 import numpy as np
+import pytest
 from scipy.special import expit
 
+from kinkfit.errors import ConvergenceError
 from kinkfit.estimator import glm_irls
 from kinkfit.families import Family, cumulant
 
@@ -41,3 +43,13 @@ def test_diverging_edge_candidates_are_skipped():
     assert est[3] == taus[np.argmax(loglik)]
     np.testing.assert_allclose(est[:3], hinge_logit_profile(x, y, est[3:])[0][0],
                                rtol=0, atol=1e-10)
+
+
+def test_glm_irls_raises_at_the_separated_edge_candidates():
+    # The same lone point as above: its coefficient runs off to infinity,
+    # so the IRLS must report non-convergence, not return its last iterate.
+    x, y = small_logit_data()
+    for tau in gap_midpoints(x)[[0, -1]]:
+        X = np.column_stack([np.ones_like(x), x, np.maximum(x - tau, 0.0)])
+        with pytest.raises(ConvergenceError):
+            glm_irls(Family.BERNOULLI_LOGIT, X, y)

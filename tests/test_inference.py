@@ -11,7 +11,6 @@ from kinkfit.inference import (
     delta_se_tau,
     run_inference,
     sandwich_cov,
-    worker_count,
 )
 from kinkfit.model import Dataset, ParamVector, indicator_segment
 
@@ -37,9 +36,9 @@ def test_covariance_matches_classical_glm_with_frozen_bend():
     X = np.column_stack([np.ones(data.n), data.x,
                          indicator_segment(spec.form, data.x, tau)])
     beta, gram = glm_irls(spec.family, X, data.y)
-    from kinkfit.model import score_covariance
+    from kinkfit.model import evaluate
     params = ParamVector(beta[0], beta[1], beta[2], tau)
-    Sig = score_covariance(spec, params, data, 1e-10)
+    Sig = evaluate(spec, params, data, 1e-10)[3]
     np.testing.assert_allclose(Sig[:3, :3], gram, rtol=1e-6)
     np.testing.assert_allclose(np.linalg.inv(Sig[:3, :3]),
                                np.linalg.inv(gram), rtol=1e-4)
@@ -185,11 +184,3 @@ def test_run_inference_without_bootstrap():
     assert out.ci_bootstrap is None
     assert out.bootstrap_reps_used == 0
 
-
-def test_worker_count_honors_env(monkeypatch):
-    monkeypatch.setenv("KINKFIT_THREADS", "3")
-    assert worker_count() == 3
-    monkeypatch.setenv("KINKFIT_THREADS", "not-a-number")
-    assert worker_count() >= 1
-    monkeypatch.delenv("KINKFIT_THREADS")
-    assert worker_count() >= 1

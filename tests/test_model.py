@@ -14,13 +14,10 @@ from kinkfit.kernels import bandwidth, exp_cdf_kernel, normal_cdf_kernel
 from kinkfit.model import (
     Dataset,
     ParamVector,
+    evaluate,
     indicator_segment,
-    linear_predictor,
-    neg_hessian,
     objective,
     parse_form,
-    score,
-    score_covariance,
     segment_term,
 )
 
@@ -64,8 +61,8 @@ def fd_neg_hessian(spec, params, data, h, eps=1e-6):
         up, dn = p0.copy(), p0.copy()
         up[j] += eps
         dn[j] -= eps
-        m[:, j] = -(score(spec, ParamVector.from_array(up), data, h)
-                    - score(spec, ParamVector.from_array(dn), data, h)) / (2 * eps)
+        m[:, j] = -(evaluate(spec, ParamVector.from_array(up), data, h)[1]
+                    - evaluate(spec, ParamVector.from_array(dn), data, h)[1]) / (2 * eps)
     return 0.5 * (m + m.T)
 
 
@@ -157,7 +154,7 @@ def test_poisson_overflow_reports_observation():
 @pytest.mark.parametrize("family", FAMILIES)
 def test_score_matches_fd(form, family):
     spec, params, data, h = rand_instance(7, form=form, family=family, k=1)
-    s = score(spec, params, data, h)
+    s = evaluate(spec, params, data, h)[1]
     fd = fd_score(spec, params, data, h)
     assert np.max(np.abs(s - fd)) / max(1.0, np.max(np.abs(fd))) < 1e-6
 
@@ -166,7 +163,7 @@ def test_score_matches_fd(form, family):
 @pytest.mark.parametrize("family", FAMILIES)
 def test_neg_hessian_matches_fd(form, family):
     spec, params, data, h = rand_instance(11, form=form, family=family, k=1)
-    J = neg_hessian(spec, params, data, h)
+    J = evaluate(spec, params, data, h)[2]
     fd = fd_neg_hessian(spec, params, data, h)
     assert np.max(np.abs(J - fd)) / max(1.0, np.max(np.abs(fd))) < 1e-5
 
@@ -176,15 +173,14 @@ def test_exp_kernel_derivatives_also_match_fd():
     data = make_data(spec, n=40, seed=5)
     probe = ParamVector(2.02, 2.97, -4.9, 0.53)
     fd = fd_score(spec, probe, data, 0.05)
-    s = score(spec, probe, data, 0.05)
+    s = evaluate(spec, probe, data, 0.05)[1]
     assert np.max(np.abs(s - fd)) / max(1.0, np.max(np.abs(fd))) < 1e-5
 
 
 def test_neg_hessian_symmetric_and_score_cov_psd():
     spec, params, data, h = rand_instance(13, family=Family.BERNOULLI_LOGIT, k=2)
-    J = neg_hessian(spec, params, data, h)
+    _, _, J, Sig = evaluate(spec, params, data, h)
     np.testing.assert_allclose(J, J.T, rtol=0, atol=1e-10)
-    Sig = score_covariance(spec, params, data, h)
     np.testing.assert_allclose(Sig, Sig.T, rtol=0, atol=1e-10)
     assert np.min(np.linalg.eigvalsh(Sig)) > -1e-10
 
@@ -193,8 +189,7 @@ def test_normal_family_hessian_equals_score_cov_plus_curvature_terms():
     # for the normal family b'' = 1, so Sigma_n is the plain Gram matrix and
     # J differs from it only in the change-point block
     spec, params, data, h = rand_instance(17)
-    J = neg_hessian(spec, params, data, h)
-    Sig = score_covariance(spec, params, data, h)
+    _, _, J, Sig = evaluate(spec, params, data, h)
     diff = J - Sig
     mask = np.ones_like(diff, dtype=bool)
     mask[2:4, 2:4] = False
@@ -208,15 +203,16 @@ def test_score_covariance_is_empirical_score_covariance():
     rng = np.random.default_rng(0)
     x = np.sort(rng.uniform(-2, 2, 50))
     params = ParamVector(0.2, 0.4, -0.9, 0.3)
-    theta = linear_predictor(spec, params, Dataset(x=x, y=np.zeros(50)), 0.2)
+    theta = params.beta0 + params.beta1 * x + params.beta2 * segment_term(
+        spec.form, x, params.tau, 0.2, spec.kernel)[0]
     p = 1.0 / (1.0 + np.exp(-theta))
     reps = 4000
     scores = np.empty((reps, 4))
     for r in range(reps):
         y = (rng.random(50) < p).astype(float)
-        scores[r] = score(spec, params, Dataset(x=x, y=y), 0.2)
+        scores[r] = evaluate(spec, params, Dataset(x=x, y=y), 0.2)[1]
     emp = np.cov(scores.T)
-    Sig = score_covariance(spec, params, Dataset(x=x, y=np.zeros(50)), 0.2)
+    Sig = evaluate(spec, params, Dataset(x=x, y=np.zeros(50)), 0.2)[3]
     scale = np.max(np.abs(Sig))
     assert np.max(np.abs(emp - Sig)) / scale < 0.1
 
