@@ -32,7 +32,7 @@ from .errors import (
     NumericError,
 )
 from .estimator import FitConfig, FitResult, fit
-from .families import parse_family
+from .families import in_support, parse_family
 from .inference import InferenceResult, run_inference
 from .kernels import kernel_order, parse_bandwidth, parse_kernel, validate
 from .model import Dataset, ModelSpec, parse_form
@@ -60,7 +60,7 @@ def ingest_csv(path, y_col, x_col, z_cols, family):
 
     Rows with a missing value in any mapped column are dropped and
     counted.  Non-numeric cells and out-of-support responses are data
-    errors naming the offending row.
+    errors naming the offending row by its line number in the file.
     """
     z_cols = z_cols or []
     try:
@@ -73,7 +73,7 @@ def ingest_csv(path, y_col, x_col, z_cols, family):
         for col in [y_col, x_col, *z_cols]:
             if col not in header:
                 raise DataError(f"column {col!r} not present in {path} (has {header})")
-        xs, ys, zs = [], [], []
+        xs, ys, zs, lines = [], [], [], []
         dropped = 0
         for rownum, row in enumerate(reader, 2):
             cells = [row.get(c, "") for c in [y_col, x_col, *z_cols]]
@@ -91,28 +91,18 @@ def ingest_csv(path, y_col, x_col, z_cols, family):
             ys.append(vals[0])
             xs.append(vals[1])
             zs.append(vals[2:])
+            lines.append(rownum)
     y = np.asarray(ys)
-    from . import families as fam_mod
-
-    if not fam_mod.support_ok(family, y):
-        bad = _first_bad_row(family, y)
+    bad = np.flatnonzero(~in_support(family, y))
+    if bad.size:
         raise DataError(
-            f"y value {y[bad]!r} (data row {bad + 2}) outside the support of "
-            f"family {family.value}"
+            f"{path} row {lines[bad[0]]}, column {y_col!r}: y value "
+            f"{ys[bad[0]]!r} outside the support of family {family.value}"
         )
     data = Dataset(
         x=np.asarray(xs), y=y, z=np.asarray(zs) if z_cols else None
     )
     return data, dropped
-
-
-def _first_bad_row(family, y):
-    from . import families as fam_mod
-
-    for i, val in enumerate(y):
-        if not fam_mod.support_ok(family, np.array([val])):
-            return i
-    return 0
 
 
 def _fit_result_dict(fr: FitResult) -> dict:
@@ -132,24 +122,6 @@ def _fit_result_dict(fr: FitResult) -> dict:
         "neg_hessian_at_opt": fr.neg_hessian_at_opt.tolist(),
         "score_cov_at_opt": fr.score_cov_at_opt.tolist(),
     }
-
-
-def fit_result_from_dict(d: dict) -> FitResult:
-    from .model import ParamVector
-
-    p = d["params"]
-    return FitResult(
-        params=ParamVector(
-            p["beta0"], p["beta1"], p["beta2"], p["tau"], tuple(p["gamma"])
-        ),
-        objective_value=d["objective_value"],
-        iterations=d["iterations"],
-        converged=d["converged"],
-        grad_norm=d["grad_norm"],
-        h_used=d["h_used"],
-        neg_hessian_at_opt=np.asarray(d["neg_hessian_at_opt"]),
-        score_cov_at_opt=np.asarray(d["score_cov_at_opt"]),
-    )
 
 
 def _inference_dict(inf: InferenceResult) -> dict:

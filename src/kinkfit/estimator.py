@@ -35,9 +35,9 @@ from .families import Family
 from .kernels import bandwidth, eval_kernel
 from .model import (
     Dataset,
-    ModelForm,
     ModelSpec,
     ParamVector,
+    design,
     evaluate,
     indicator_segment,
     objective,
@@ -56,6 +56,9 @@ __all__ = [
 ]
 
 _BETA2_EPS = 1e-10
+# Convergence tolerance: max|score| < _TOL * n and accepted step norm < _TOL.
+_TOL = 1e-5
+_STEP_HALVING_MAX = 30
 
 
 @dataclass(frozen=True)
@@ -64,19 +67,15 @@ class FitConfig:
 
     tau_grid: explicit candidate change points, or None for the automatic
     grid (21 equally spaced quantiles of x between the 10th and 90th
-    percentile).
+    percentile).  max_iter: Newton iterations before fit gives up.
     """
 
     tau_grid: tuple[float, ...] | None = None
-    tol: float = 1e-5
     max_iter: int = 100
-    step_halving_max: int = 30
 
     def __post_init__(self):
-        if not (0.0 < self.tol <= 1e-5):
-            raise DomainError("tol must lie in (0, 1e-5]")
-        if self.max_iter < 1 or self.step_halving_max < 1:
-            raise DomainError("iteration limits must be positive")
+        if self.max_iter < 1:
+            raise DomainError("max_iter must be positive")
 
 
 @dataclass(frozen=True)
@@ -164,13 +163,6 @@ def _auto_grid(x: np.ndarray) -> np.ndarray:
     return np.quantile(x, np.linspace(0.1, 0.9, 21))
 
 
-def _indicator_design(form: ModelForm, data: Dataset, tau: float) -> np.ndarray:
-    cols = [np.ones(data.n), data.x, indicator_segment(form, data.x, tau)]
-    if data.z is not None:
-        cols.extend(data.z.T)
-    return np.column_stack(cols)
-
-
 def profile_init(spec: ModelSpec, data: Dataset, config: FitConfig | None = None) -> ParamVector:
     """Best fixed-change-point GLM over the candidate grid.
 
@@ -190,7 +182,7 @@ def profile_init(spec: ModelSpec, data: Dataset, config: FitConfig | None = None
         grid = _auto_grid(data.x)
     best_q, best_p = -np.inf, None
     for tau in np.sort(grid):
-        X = _indicator_design(spec.form, data, float(tau))
+        X = design(data, indicator_segment(spec.form, data.x, float(tau)))
         try:
             beta, _ = glm_irls(spec.family, X, data.y)
         except ConvergenceError:
@@ -231,7 +223,7 @@ def fit(
     Starts from profile_init unless an explicit warm start is given.  The
     change point is projected into [x(2), x(n-1)] after every step.  A
     step is accepted only if the objective strictly increases (halving up
-    to step_halving_max times); convergence requires a small gradient, a
+    to 30 times); convergence requires a small gradient, a
     small accepted step, and a positive definite negative Hessian.
     """
     config = config or FitConfig()
@@ -266,7 +258,7 @@ def fit(
         step = np.linalg.solve(M, S)
         frac = 1.0
         accepted = False
-        for _ in range(config.step_halving_max):
+        for _ in range(_STEP_HALVING_MAX):
             trial = p + frac * step
             trial[3] = np.clip(trial[3], lo, hi)
             if abs(trial[2]) < _BETA2_EPS:
@@ -280,13 +272,13 @@ def fit(
                 accepted = True
                 break
             frac /= 2.0
-        grad_ok = np.max(np.abs(S)) < config.tol * data.n
+        grad_ok = np.max(np.abs(S)) < _TOL * data.n
         taken = 0.0
         if accepted:
             taken = np.linalg.norm(trial - p)
             p = trial
             q, S, J, Sig = evaluate(spec, ParamVector.from_array(p), data, h)
-        if grad_ok and taken < config.tol:
+        if grad_ok and taken < _TOL:
             # Stationary; a maximum only if the curvature is negative definite.
             converged = _chol_ok(J)
             if converged and (p[3] <= lo or p[3] >= hi):
@@ -316,10 +308,7 @@ def fit_beta_given_tau(spec: ModelSpec, data: Dataset, tau: float, h: float) -> 
     smoothed segment regressor.
     """
     seg, _, _ = segment_term(spec.form, data.x, tau, h, spec.kernel)
-    cols = [np.ones(data.n), data.x, seg]
-    if data.z is not None:
-        cols.extend(data.z.T)
-    beta, _ = glm_irls(spec.family, np.column_stack(cols), data.y)
+    beta, _ = glm_irls(spec.family, design(data, seg), data.y)
     return beta
 
 
@@ -334,10 +323,7 @@ def linearized_fit(spec: ModelSpec, data: Dataset, tau0: float) -> LinearizedFit
     """
     h = bandwidth(spec.bw, data.n)
     seg, d_tau, _ = segment_term(spec.form, data.x, tau0, h, spec.kernel)
-    cols = [np.ones(data.n), data.x, seg, -d_tau]
-    if data.z is not None:
-        cols.extend(data.z.T)
-    X = np.column_stack(cols)
+    X = design(data, seg, -d_tau)
     if np.linalg.matrix_rank(X) < X.shape[1]:
         raise DegenerateDesignError(
             "linearized design is rank deficient (no observation near tau0 "

@@ -4,6 +4,10 @@ Each family supplies the log-normalizer ``b`` together with its first two
 derivatives: ``b'`` is the mean function (the inverse link, since the link
 is natural) and ``b''`` the variance function.  The normal family is fixed
 at unit dispersion.
+
+``cumulant``, ``mean`` and ``variance`` take theta unchecked; the model's
+log-likelihood reports a non-finite theta or b(theta) as NumericError.
+``sample`` checks theta, which it gets from scenario values.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from scipy.special import expit
 
 from .errors import DomainError
 
-__all__ = ["Family", "cumulant", "mean", "variance", "sample", "parse_family"]
+__all__ = ["Family", "cumulant", "mean", "variance", "sample", "in_support", "parse_family"]
 
 
 class Family(enum.Enum):
@@ -39,20 +43,12 @@ def parse_family(token: str) -> Family:
         ) from None
 
 
-def _check_finite(theta) -> np.ndarray:
-    theta = np.asarray(theta, dtype=float)
-    if not np.all(np.isfinite(theta)):
-        raise DomainError("natural parameter must be finite")
-    return theta
-
-
 def cumulant(family: Family, theta):
     """Log-normalizer b(theta).
 
     The logit branch uses max(theta, 0) + log1p(exp(-|theta|)) so that
     large |theta| neither overflows nor loses the tail.
     """
-    theta = _check_finite(theta)
     if family is Family.NORMAL_IDENTITY:
         return theta**2 / 2.0
     if family is Family.BERNOULLI_LOGIT:
@@ -62,7 +58,6 @@ def cumulant(family: Family, theta):
 
 def mean(family: Family, theta):
     """Mean function b'(theta), i.e. the inverse of the natural link."""
-    theta = _check_finite(theta)
     if family is Family.NORMAL_IDENTITY:
         return theta + 0.0
     if family is Family.BERNOULLI_LOGIT:
@@ -76,7 +71,6 @@ def variance(family: Family, theta):
     For the logit family this is computed as expit(theta) * expit(-theta),
     which stays positive (rather than flushing to 0) far into the tails.
     """
-    theta = _check_finite(theta)
     if family is Family.NORMAL_IDENTITY:
         return np.ones_like(theta)
     if family is Family.BERNOULLI_LOGIT:
@@ -89,7 +83,9 @@ def sample(family: Family, theta, rng: np.random.Generator):
 
     The caller owns the random stream; use one generator per thread.
     """
-    theta = _check_finite(theta)
+    theta = np.asarray(theta, dtype=float)
+    if not np.all(np.isfinite(theta)):
+        raise DomainError("natural parameter must be finite")
     if family is Family.NORMAL_IDENTITY:
         return rng.normal(loc=theta, scale=1.0)
     if family is Family.BERNOULLI_LOGIT:
@@ -100,10 +96,11 @@ def sample(family: Family, theta, rng: np.random.Generator):
     return rng.poisson(lam=lam).astype(float)
 
 
-def support_ok(family: Family, y: np.ndarray) -> bool:
-    """Whether every response value lies in the family's support."""
+def in_support(family: Family, y: np.ndarray) -> np.ndarray:
+    """Per-observation mask: whether each response lies in the family's
+    support."""
     if family is Family.BERNOULLI_LOGIT:
-        return bool(np.all((y == 0.0) | (y == 1.0)))
+        return (y == 0.0) | (y == 1.0)
     if family is Family.POISSON_LOG:
-        return bool(np.all((y >= 0.0) & (y == np.floor(y))))
-    return bool(np.all(np.isfinite(y)))
+        return (y >= 0.0) & (y == np.floor(y))
+    return np.isfinite(y)

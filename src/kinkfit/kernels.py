@@ -2,10 +2,10 @@
 
 A kernel here is a CDF-like function K rising from 0 to 1, used to replace
 the hard indicator I(x > tau) in the likelihood.  Each kernel carries its
-first two derivatives.  Evaluation clamps the argument at |u| = 1e3 and
-returns the exact limiting values beyond that: with bandwidths like n^-3
-the argument is astronomically large and naive evaluation produces NaN
-from 0 * inf products downstream.
+first two derivatives.  Evaluation calls the kernel only where |u| <= 1e3
+and returns the exact limiting values beyond that: with bandwidths like
+n^-3 the argument is astronomically large and naive evaluation produces
+NaN from 0 * inf products downstream.
 """
 
 from __future__ import annotations
@@ -104,16 +104,15 @@ def eval_kernel(kernel: Kernel, u):
     """Evaluate (K, K', K'') at u with tail clamping.
 
     For |u| > 1e3 the exact limits are returned: K is 0 or 1 and both
-    derivatives are 0.
+    derivatives are 0; only the points inside that window reach the
+    kernel's callables.  u is not checked: a NaN counts as inside, so it
+    propagates into K and the model's log-likelihood check reports it.
     """
     u = np.asarray(u, dtype=float)
-    if not np.all(np.isfinite(u)):
-        raise DomainError("kernel argument must be finite")
-    uc = np.clip(u, -CLAMP, CLAMP)
-    inside = np.abs(u) <= CLAMP
-    kv = np.where(u > CLAMP, 1.0, np.where(u < -CLAMP, 0.0, kernel.k(uc)))
-    kpv = np.where(inside, kernel.kp(uc), 0.0)
-    kppv = np.where(inside, kernel.kpp(uc), 0.0)
+    inside = ~(np.abs(u) > CLAMP)
+    ui = u[inside]
+    kv, kpv, kppv = np.where(u > 0.0, 1.0, 0.0), np.zeros_like(u), np.zeros_like(u)
+    kv[inside], kpv[inside], kppv[inside] = kernel.k(ui), kernel.kp(ui), kernel.kpp(ui)
     return kv, kpv, kppv
 
 

@@ -31,6 +31,7 @@ __all__ = [
     "Dataset",
     "segment_term",
     "indicator_segment",
+    "design",
     "objective",
     "evaluate",
 ]
@@ -137,7 +138,7 @@ class Dataset:
         return 0 if self.z is None else self.z.shape[1]
 
     def check_family(self, family: Family) -> None:
-        if not families.support_ok(family, self.y):
+        if not families.in_support(family, self.y).all():
             raise DataError(f"y values outside the support of family {family.value}")
 
     def take(self, idx: np.ndarray) -> "Dataset":
@@ -151,10 +152,12 @@ def segment_term(form: ModelForm, x, tau: float, h: float, kernel: Kernel):
 
     Returns (value, d_tau, d_tau2), each with the shape of x.  The 1/h
     powers only ever multiply kernel values that are exactly zero outside
-    the clamp window, so no inf*0 products arise.
+    the clamp window, so no inf*0 products arise.  Only the scalars tau
+    and h are checked here; an overflow of x - tau reaches the
+    log-likelihood check.
     """
-    if h <= 0:
-        raise DomainError("bandwidth must be positive")
+    if not (h > 0 and np.isfinite(tau)):
+        raise DomainError("bandwidth must be positive and tau finite")
     x = np.asarray(x, dtype=float)
     d = x - tau
     u = d / h
@@ -186,6 +189,15 @@ def indicator_segment(form: ModelForm, x, tau: float):
     return np.where(d < 0, d * d, 0.0)
 
 
+def design(data: Dataset, *segment_cols) -> np.ndarray:
+    """Design matrix [1, x, segment_cols..., z] in the coefficient order of
+    ParamVector; a second segment column takes the slot of tau."""
+    cols = [np.ones(data.n), data.x, *segment_cols]
+    if data.z is not None:
+        cols.extend(data.z.T)
+    return np.column_stack(cols)
+
+
 def _check_dims(spec: ModelSpec, params: ParamVector, data: Dataset) -> None:
     if len(params.gamma) != spec.n_covariates or data.k != spec.n_covariates:
         raise DomainError(
@@ -206,6 +218,7 @@ def _theta(spec: ModelSpec, params: ParamVector, data: Dataset, h: float):
 
 
 def _loglik(family: Family, theta: np.ndarray, y: np.ndarray) -> float:
+    """Log-likelihood sum; the one check that theta and b(theta) are finite."""
     terms = y * theta - families.cumulant(family, theta)
     if not np.all(np.isfinite(terms)):
         idx = int(np.flatnonzero(~np.isfinite(terms))[0])
@@ -234,10 +247,7 @@ def evaluate(spec: ModelSpec, params: ParamVector, data: Dataset, h: float):
     """
     theta, seg, d_tau, d_tau2 = _theta(spec, params, data, h)
     q = _loglik(spec.family, theta, data.y)
-    cols = [np.ones(data.n), data.x, seg, params.beta2 * d_tau]
-    if data.z is not None:
-        cols.extend(data.z.T)
-    D = np.column_stack(cols)
+    D = design(data, seg, params.beta2 * d_tau)
     resid = data.y - families.mean(spec.family, theta)
     w = families.variance(spec.family, theta)
     S = D.T @ resid

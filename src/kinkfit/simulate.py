@@ -131,7 +131,7 @@ def generate(scenario: SimScenario, replicate_index: int) -> Dataset:
 def run(scenario: SimScenario) -> SimReport:
     """Fit every replicate and aggregate.
 
-    Failed fits (exceptions or non-convergence) are excluded from the
+    Failed fits (a KinkfitError or non-convergence) are excluded from the
     moments and counted; more than 5% of them flags the report degraded.
     """
     spec = scenario.model_spec()
@@ -155,7 +155,7 @@ def run(scenario: SimScenario) -> SimReport:
                 seed=[scenario.seed, r, 1],
                 config=config,
             )
-        except (KinkfitError, np.linalg.LinAlgError):
+        except KinkfitError:
             failed += 1
             continue
         est = fr.params.to_array()

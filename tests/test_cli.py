@@ -1,6 +1,8 @@
 """End-to-end CLI behavior: ingestion, exit codes, output formats."""
 import csv
+import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -12,13 +14,13 @@ from kinkfit.cli import (
     EXIT_USAGE,
     SCHEMA_VERSION,
     _fit_result_dict,
-    fit_result_from_dict,
     ingest_csv,
     main,
 )
 from kinkfit.errors import DataError
 from kinkfit.estimator import fit
 from kinkfit.families import Family
+from kinkfit.model import ParamVector
 
 from conftest import make_case_control_like, make_data, make_spec
 
@@ -128,6 +130,20 @@ def test_out_of_support_response_exit_code(tmp_path, capsys):
     assert "row 13" in err["message"]
 
 
+def test_out_of_support_row_is_named_by_its_line_after_dropped_rows(tmp_path, capsys):
+    p = tmp_path / "sup_gap.csv"
+    rows = [[i % 2, 0.1 * i] for i in range(30)]
+    rows[1][0] = ""  # line 3: missing y, dropped
+    rows[3][0] = 2.0  # line 5: outside the logit support
+    write_csv(p, rows)
+    code = main(["fit", "--input", str(p), "--y-col", "y", "--x-col", "x",
+                 "--family", "logit"])
+    assert code == EXIT_DATA
+    message = json.loads(capsys.readouterr().err)["message"]
+    assert re.search(r"\brow 5\b", message)
+    assert "y value 2.0 " in message
+
+
 def test_missing_column_exit_code(normal_csv, capsys):
     code = main(["fit", "--input", str(normal_csv), "--y-col", "resp",
                  "--x-col", "x"])
@@ -156,15 +172,12 @@ def test_fit_result_round_trip():
     spec = make_spec()
     data = make_data(spec, n=200, seed=4)
     fr = fit(spec, data)
-    back = fit_result_from_dict(json.loads(json.dumps(_fit_result_dict(fr))))
-    assert back.params == fr.params
-    assert back.converged == fr.converged
-    assert back.iterations == fr.iterations
-    assert back.objective_value == fr.objective_value
-    assert back.grad_norm == fr.grad_norm
-    assert back.h_used == fr.h_used
-    np.testing.assert_array_equal(back.neg_hessian_at_opt, fr.neg_hessian_at_opt)
-    np.testing.assert_array_equal(back.score_cov_at_opt, fr.score_cov_at_opt)
+    back = json.loads(json.dumps(_fit_result_dict(fr)))
+    assert set(back) == {f.name for f in dataclasses.fields(fr)}
+    p = back["params"]
+    assert ParamVector(p["beta0"], p["beta1"], p["beta2"], p["tau"], tuple(p["gamma"])) == fr.params
+    for name in set(back) - {"params"}:
+        np.testing.assert_array_equal(back[name], getattr(fr, name))
 
 
 def test_simulate_smoke_scenario(tmp_path, capsys, monkeypatch):

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from kinkfit.errors import DataError, DomainError, IdentifiabilityError
+from kinkfit.errors import DataError, IdentifiabilityError
 from kinkfit.estimator import (
     FitConfig,
     fit,
@@ -210,11 +210,3 @@ def test_linearized_fit_rejects_degenerate_design():
     # tau0 beyond every observation: segment and its derivative vanish
     with pytest.raises(DegenerateDesignError):
         linearized_fit(spec, data, tau0=data.x.max() + 5.0)
-
-
-def test_fit_config_validation():
-    with pytest.raises(DomainError):
-        FitConfig(tol=0.0)
-    with pytest.raises(DomainError):
-        FitConfig(tol=1e-3)
-    FitConfig(tol=1e-5)  # boundary value allowed

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from kinkfit.errors import DomainError
-from kinkfit.families import Family, cumulant, mean, parse_family, sample, support_ok, variance
+from kinkfit.families import Family, cumulant, in_support, mean, parse_family, sample, variance
 
 ALL = [Family.NORMAL_IDENTITY, Family.BERNOULLI_LOGIT, Family.POISSON_LOG]
 
@@ -72,19 +72,19 @@ def test_sampling_is_caller_seeded():
     np.testing.assert_array_equal(a, b)
 
 
-def test_nonfinite_theta_rejected():
+def test_sampling_rejects_nonfinite_theta():
     for bad in (np.nan, np.inf):
         with pytest.raises(DomainError):
-            cumulant(Family.NORMAL_IDENTITY, bad)
+            sample(Family.NORMAL_IDENTITY, np.array([0.0, bad]), np.random.default_rng(1))
 
 
 def test_support_checks():
-    assert support_ok(Family.BERNOULLI_LOGIT, np.array([0.0, 1.0]))
-    assert not support_ok(Family.BERNOULLI_LOGIT, np.array([0.0, 2.0]))
-    assert support_ok(Family.POISSON_LOG, np.array([0.0, 3.0]))
-    assert not support_ok(Family.POISSON_LOG, np.array([1.5]))
-    assert not support_ok(Family.POISSON_LOG, np.array([-1.0]))
-    assert support_ok(Family.NORMAL_IDENTITY, np.array([-2.3, 0.1]))
+    def mask(family, y):
+        return in_support(family, np.array(y)).tolist()
+
+    assert mask(Family.BERNOULLI_LOGIT, [0.0, 1.0, 2.0, 0.5]) == [True, True, False, False]
+    assert mask(Family.POISSON_LOG, [0.0, 3.0, 1.5, -1.0]) == [True, True, False, False]
+    assert mask(Family.NORMAL_IDENTITY, [-2.3, 0.1, np.inf]) == [True, True, False]
 
 
 def test_parse_family():

@@ -55,6 +55,22 @@ def test_sandwich_cov_requires_convergence():
         sandwich_cov(bad)
 
 
+@pytest.mark.parametrize("seed", [5, 109])
+def test_covariance_of_near_singular_information_has_nonnegative_variances(seed):
+    # Found by fuzzing small datasets: with x in the hundreds the fit ends
+    # with an information matrix of condition number about 1e34.  Its
+    # Cholesky factor exists, but a general inverse raised LinAlgError
+    # (seed 5) or gave negative variances (seed 109).
+    spec = make_spec(family=Family.BERNOULLI_LOGIT, form="quadratic-linear")
+    rng = np.random.default_rng(seed)
+    x = np.round(rng.uniform(-300.0, 300.0, 30), 1)
+    y = (rng.random(30) < 0.3).astype(float)
+    res = fit(spec, Dataset(x=x, y=y))
+    assert res.converged and np.linalg.cond(res.score_cov_at_opt) > 1e30
+    cov = sandwich_cov(res)
+    assert np.all(np.isfinite(cov)) and np.all(np.diag(cov) >= 0)
+
+
 def test_sandwich_cov_tracks_sampling_variance():
     # average estimated SE should sit near the Monte Carlo SD of the
     # estimates over independent replicates
@@ -135,6 +151,20 @@ def test_bootstrap_requires_enough_replicates_and_strata():
     })
     with pytest.raises(BootstrapError):
         bootstrap_ci(spec, data, lopsided, B=200)
+
+
+def test_programming_errors_propagate(monkeypatch):
+    spec, data, res = fitted(seed=4, n=300)
+
+    def broken(*args, **kwargs):
+        raise TypeError("not a kinkfit failure")
+
+    monkeypatch.setattr(inf, "fit", broken)
+    with pytest.raises(TypeError):
+        bootstrap_ci(spec, data, res, B=200)
+    monkeypatch.setattr(inf, "linearized_fit", broken)
+    with pytest.raises(TypeError):
+        run_inference(spec, data, res)
 
 
 def test_bootstrap_interval_is_deterministic_and_sane():

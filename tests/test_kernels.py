@@ -7,6 +7,7 @@ from scipy.special import ndtr
 
 from kinkfit.errors import DomainError
 from kinkfit.kernels import (
+    CLAMP,
     BandwidthRule,
     bandwidth,
     custom_kernel,
@@ -79,9 +80,40 @@ def test_tail_clamping_is_exact_and_finite():
         assert kppv[0] == 0.0 and kppv[-1] == 0.0
 
 
-def test_eval_rejects_nonfinite():
-    with pytest.raises(DomainError):
-        eval_kernel(normal_cdf_kernel(), np.array([1.0, np.nan]))
+def clip_and_select(kernel, u):
+    """Reference clamping: evaluate the kernel on the clipped argument
+    everywhere, then select the exact limits outside the window."""
+    uc = np.clip(u, -CLAMP, CLAMP)
+    inside = np.abs(u) <= CLAMP
+    kv = np.where(u > CLAMP, 1.0, np.where(u < -CLAMP, 0.0, kernel.k(uc)))
+    return kv, np.where(inside, kernel.kp(uc), 0.0), np.where(inside, kernel.kpp(uc), 0.0)
+
+
+def test_kernel_is_called_only_inside_the_window():
+    seen = []
+
+    def counted(f):
+        def wrapped(u):
+            seen.append(np.array(u, copy=True))
+            return f(u)
+        return wrapped
+
+    base = normal_cdf_kernel()
+    kern = custom_kernel(counted(base.k), counted(base.kp), counted(base.kpp))
+    u = np.array([-1e7, -CLAMP - 1, -CLAMP, -3.0, 0.0, 0.5, CLAMP, CLAMP + 1, 1e7])
+    eval_kernel(kern, u)
+    assert len(seen) == 3
+    for arg in seen:
+        np.testing.assert_array_equal(arg, [-CLAMP, -3.0, 0.0, 0.5, CLAMP])
+    for k in (base, exp_cdf_kernel(), kern):
+        for got, ref in zip(eval_kernel(k, u), clip_and_select(k, u)):
+            np.testing.assert_array_equal(got, ref)
+
+
+def test_nan_argument_gives_nan_kernel():
+    kv, kpv, kppv = eval_kernel(normal_cdf_kernel(), np.array([1.0, np.nan]))
+    assert np.isnan(kv[1]) and np.isnan(kpv[1]) and np.isnan(kppv[1])
+    assert kv[0] == ndtr(1.0)
 
 
 def test_bandwidth_power_rule():

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kinkfit.errors import DataError, DomainError, NumericError
+from kinkfit.estimator import linearized_fit
 from kinkfit.families import Family
 from kinkfit.kernels import bandwidth, exp_cdf_kernel, normal_cdf_kernel
 from kinkfit.model import (
@@ -150,6 +151,20 @@ def test_poisson_overflow_reports_observation():
     assert exc.value.index is not None
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+def test_overflowing_theta_is_numeric_error():
+    # Finite parameters whose theta overflows: the log-likelihood check
+    # reports it with the index of the first overflowing observation.
+    spec = make_spec()
+    data = make_data(spec, n=50, seed=3)
+    huge = ParamVector(0.0, 1e308, -5.0, 0.5)
+    for call in (objective, evaluate):
+        with pytest.raises(NumericError) as exc:
+            call(spec, huge, data, 0.01)
+        assert isinstance(exc.value.index, int)
+        assert abs(data.x[exc.value.index]) > 1.79
+
+
 @pytest.mark.parametrize("form", FORMS)
 @pytest.mark.parametrize("family", FAMILIES)
 def test_score_matches_fd(form, family):
@@ -251,6 +266,16 @@ def test_objective_independent_of_observation_order():
     q0 = objective(spec, params, data, h)
     q1 = objective(spec, params, data.take(perm), h)
     assert q1 == pytest.approx(q0, rel=1e-12)
+
+
+def test_segment_term_rejects_nonfinite_scalars():
+    spec = make_spec()
+    x = np.linspace(-1.0, 1.0, 7)
+    for tau, h in ((np.nan, 0.1), (np.inf, 0.1), (0.5, np.nan), (0.5, 0.0)):
+        with pytest.raises(DomainError):
+            segment_term(spec.form, x, tau, h, spec.kernel)
+    with pytest.raises(DomainError):
+        linearized_fit(spec, make_data(spec, n=50, seed=2), np.nan)
 
 
 def test_param_vector_validation():
