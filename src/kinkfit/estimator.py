@@ -2,11 +2,12 @@
 
 The pipeline is: profile initialization over a grid of candidate change
 points (an ordinary GLM with the hard-indicator regressor at each fixed
-candidate), then damped Newton ascent on the smoothed objective with all
-parameters free.  When the observed negative Hessian is indefinite -- which
-happens routinely while the change point sits inside a smoothing window --
-the step falls back to the always-PSD weighted Gram matrix (Fisher
-scoring) with ridge escalation.
+candidate, all candidates of a block fit by one stacked IRLS and scored by
+one vectorized objective pass), then damped Newton ascent on the smoothed
+objective with all parameters free.  When the observed negative Hessian is
+indefinite -- which happens routinely while the change point sits inside a
+smoothing window -- the step falls back to the always-PSD weighted Gram
+matrix (Fisher scoring) with ridge escalation.
 
 A one-step linearized refit is also provided: at a frozen working change
 point it turns the model into an ordinary GLM in constructed regressors,
@@ -41,6 +42,7 @@ from .model import (
     evaluate,
     indicator_segment,
     objective,
+    profile_objective,
     segment_term,
 )
 
@@ -59,6 +61,10 @@ _BETA2_EPS = 1e-10
 # Convergence tolerance: max|score| < _TOL * n and accepted step norm < _TOL.
 _TOL = 1e-5
 _STEP_HALVING_MAX = 30
+# profile_init stacks at most this many candidate x observation values per
+# array (but at least one candidate), so a larger grid costs more blocks,
+# not more memory: 128 KiB per stacked array.
+_STACK_ELEMS = 2**14
 
 
 @dataclass(frozen=True)
@@ -118,45 +124,105 @@ class LinearizedFit:
         return self.tau0 - self.c_aux / self.beta2
 
 
-def glm_irls(
-    family: Family,
-    X: np.ndarray,
-    y: np.ndarray,
-    tol: float = 1e-10,
-    max_iter: int = 60,
-):
+# IRLS stopping rule: converged when max|step| < _IRLS_TOL, failed after
+# _IRLS_MAX_ITER steps.
+_IRLS_TOL = 1e-10
+_IRLS_MAX_ITER = 60
+# Outcome of each stacked IRLS fit.
+_CONVERGED, _SINGULAR, _DIVERGED, _MAX_ITER = range(4)
+
+
+def _solve(M: np.ndarray, rhs: np.ndarray):
+    """Solve the stacked systems M[g] x = rhs[g].
+
+    Returns (x, singular).  A singular M[g] gives a NaN row and a True
+    singular[g] instead of failing the whole stack.
+    """
+    singular = np.zeros(len(M), dtype=bool)
+    try:
+        return np.linalg.solve(M, rhs[:, :, None])[:, :, 0], singular
+    except np.linalg.LinAlgError:
+        # Rare: find the singular systems one by one.
+        x = np.full_like(rhs, np.nan)
+        for g in range(len(M)):
+            try:
+                x[g] = np.linalg.solve(M[g], rhs[g])
+            except np.linalg.LinAlgError:
+                singular[g] = True
+        return x, singular
+
+
+def _irls(family: Family, C: np.ndarray, T: np.ndarray, y: np.ndarray):
+    """Newton (IRLS) fits of G natural-link GLMs in one stacked loop.
+
+    Fit g has the design [C, T[g]]: C is the n x q block of columns that
+    every fit shares and T the G x n x m stack of the columns that differ.
+    Returns (beta, gram, status): the G x (q + m) coefficients, the Gram
+    matrices X^t W X at the start of each fit's last step, and per fit one
+    of _CONVERGED, _SINGULAR, _DIVERGED and _MAX_ITER.  A fit stops at its
+    own convergence or failure; the others go on.  Besides C, its n x q^2
+    column products and T, every array is G x n x m at most.
+
+    Normal/identity is exact least squares in one solve without ridge; the
+    other families add a 1e-12 ridge to each Newton system, diverge when a
+    coefficient is non-finite or above 1e8, and converge when the largest
+    step is below _IRLS_TOL.
+    """
+    n, q = C.shape
+    p = q + T.shape[2]
+    normal = family is Family.NORMAL_IDENTITY
+    ridge = 0.0 if normal else 1e-12 * np.eye(p)
+    CC = (C[:, :, None] * C[:, None, :]).reshape(n, q * q)
+    beta = np.zeros((len(T), p))
+    gram = np.zeros((len(T), p, p))
+    status = np.full(len(T), _MAX_ITER)
+    # b and t hold the coefficients and columns of the fits still running.
+    active, b, t = np.arange(len(T)), beta.copy(), T
+    for _ in range(1 if normal else _IRLS_MAX_ITER):
+        tt = t.transpose(0, 2, 1)
+        eta = b[:, :q] @ C.T + np.matmul(t, b[:, q:, None])[:, :, 0]
+        w = families.variance(family, eta)
+        r = y - families.mean(family, eta)
+        wtt = tt if normal else (w[:, :, None] * t).transpose(0, 2, 1)  # normal: w = 1
+        M = np.empty((active.size, p, p))
+        M[:, :q, :q] = (w @ CC).reshape(active.size, q, q)
+        M[:, q:, :q] = np.matmul(wtt, C)
+        M[:, :q, q:] = M[:, q:, :q].transpose(0, 2, 1)
+        M[:, q:, q:] = np.matmul(wtt, t)
+        rhs = np.concatenate([r @ C, np.matmul(tt, r[:, :, None])[:, :, 0]], axis=1)
+        step, singular = _solve(M + ridge, rhs)
+        b = b + step
+        # A NaN or infinite coefficient fails the bound too.
+        ok = ~singular if normal else np.abs(b).max(axis=1) <= 1e8
+        done = ok & (normal | (np.abs(step).max(axis=1) < _IRLS_TOL))
+        stop = done | ~ok
+        if stop.any():
+            beta[active[done]], gram[active[done]] = b[done], M[done]
+            status[active[done]] = _CONVERGED
+            status[active[~ok]] = _DIVERGED
+            status[active[singular]] = _SINGULAR
+            active, b, t = active[~stop], b[~stop], t[~stop]
+            if active.size == 0:
+                break
+    return beta, gram, status
+
+
+def glm_irls(family: Family, X: np.ndarray, y: np.ndarray):
     """Newton (IRLS) fit of a natural-link GLM.
 
-    Returns (beta, XtWX) at the optimum.  Raises ConvergenceError when the
-    iteration diverges, the normal equations are singular, or max_iter
-    steps pass without convergence.
+    Runs the stacked IRLS of profile_init on the single design X.  Returns
+    (beta, XtWX) at the optimum.  Raises ConvergenceError when the
+    iteration diverges, the normal equations are singular, or 60 steps
+    pass without convergence.
     """
-    n, p = X.shape
-    beta = np.zeros(p)
-    # Normal/identity is exact least squares in one step.
-    if family is Family.NORMAL_IDENTITY:
-        G = X.T @ X
-        try:
-            beta = np.linalg.solve(G, X.T @ y)
-        except np.linalg.LinAlgError:
-            raise ConvergenceError("singular GLM design") from None
-        return beta, G
-    for _ in range(max_iter):
-        eta = X @ beta
-        mu = families.mean(family, eta)
-        w = families.variance(family, eta)
-        G = (X * w[:, None]).T @ X
-        try:
-            step = np.linalg.solve(G + 1e-12 * np.eye(p), X.T @ (y - mu))
-        except np.linalg.LinAlgError:
-            raise ConvergenceError("singular IRLS system") from None
-        beta_new = beta + step
-        if not np.all(np.isfinite(beta_new)) or np.max(np.abs(beta_new)) > 1e8:
-            raise ConvergenceError("IRLS diverged")
-        if np.max(np.abs(step)) < tol:
-            return beta_new, G
-        beta = beta_new
-    raise ConvergenceError(f"IRLS did not converge in {max_iter} iterations")
+    beta, gram, status = _irls(family, X[:, :0], X[None], y)
+    if status[0] == _SINGULAR:
+        raise ConvergenceError("singular IRLS system")
+    if status[0] == _DIVERGED:
+        raise ConvergenceError("IRLS diverged")
+    if status[0] == _MAX_ITER:
+        raise ConvergenceError(f"IRLS did not converge in {_IRLS_MAX_ITER} iterations")
+    return beta[0], gram[0]
 
 
 def _auto_grid(x: np.ndarray) -> np.ndarray:
@@ -166,9 +232,15 @@ def _auto_grid(x: np.ndarray) -> np.ndarray:
 def profile_init(spec: ModelSpec, data: Dataset, config: FitConfig | None = None) -> ParamVector:
     """Best fixed-change-point GLM over the candidate grid.
 
-    Each candidate is fit by ordinary IRLS with the hard-indicator
-    regressor; the winner is the candidate maximizing the smoothed
-    objective, ties going to the smallest candidate.
+    Each candidate is an ordinary GLM with the hard-indicator regressor.
+    The sorted candidates are taken in blocks of at most 2^14 / n (at
+    least one), so that no stacked candidate x observation array exceeds
+    2^14 values; at n = 500 the 21-point automatic grid is one block.  A
+    block is fit by one stacked IRLS, and its converged candidates are
+    scored by one vectorized smoothed-objective pass.  A candidate whose
+    IRLS fails (singular, diverged or not converged) is dropped alone.
+    The winner is the candidate maximizing the smoothed objective, ties
+    going to the smallest candidate.
     """
     config = config or FitConfig()
     data.check_family(spec.family)
@@ -180,20 +252,26 @@ def profile_init(spec: ModelSpec, data: Dataset, config: FitConfig | None = None
             raise DataError("tau grid candidates must lie strictly inside the x range")
     else:
         grid = _auto_grid(data.x)
+    grid = np.sort(grid)
+    shared = design(data)  # [1, x, z]; the segment column differs per candidate
+    q = shared.shape[1]
+    block = max(1, _STACK_ELEMS // data.n)
     best_q, best_p = -np.inf, None
-    for tau in np.sort(grid):
-        X = design(data, indicator_segment(spec.form, data.x, float(tau)))
-        try:
-            beta, _ = glm_irls(spec.family, X, data.y)
-        except ConvergenceError:
+    for start in range(0, grid.size, block):
+        taus = grid[start:start + block]
+        seg = indicator_segment(spec.form, data.x, taus[:, None])
+        beta, _, status = _irls(spec.family, shared, seg[:, :, None], data.y)
+        ok = status == _CONVERGED
+        if not ok.any():
             continue
-        params = ParamVector(
-            beta[0], beta[1], beta[2] if beta[2] != 0.0 else _BETA2_EPS,
-            float(tau), tuple(beta[3:]),
-        )
-        q = objective(spec, params, data, h)
-        if q > best_q:
-            best_q, best_p = q, (beta, float(tau))
+        # (beta0, beta1, beta2, gamma...) from the IRLS order [1, x, z, seg].
+        coef = beta[ok][:, [0, 1, q, *range(2, q)]]
+        scored = coef.copy()
+        scored[scored[:, 2] == 0.0, 2] = _BETA2_EPS
+        values = profile_objective(spec, scored, taus[ok], data, h)
+        g = int(np.argmax(values))
+        if values[g] > best_q:
+            best_q, best_p = values[g], (coef[g], float(taus[ok][g]))
     if best_p is None:
         raise InitializationError("every fixed-change-point GLM fit diverged")
     beta, tau = best_p
@@ -255,7 +333,12 @@ def fit(
                     break
             if M is None:
                 raise ConvergenceError("curvature matrix not repairable by ridge")
-        step = np.linalg.solve(M, S)
+        try:
+            step = np.linalg.solve(M, S)
+        except np.linalg.LinAlgError:
+            # M passed Cholesky, yet LU can still meet an exact zero pivot
+            # when the design is rank deficient (two distinct x values).
+            raise ConvergenceError("singular Newton system") from None
         frac = 1.0
         accepted = False
         for _ in range(_STEP_HALVING_MAX):

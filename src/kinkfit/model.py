@@ -33,6 +33,7 @@ __all__ = [
     "indicator_segment",
     "design",
     "objective",
+    "profile_objective",
     "evaluate",
 ]
 
@@ -147,16 +148,17 @@ class Dataset:
         )
 
 
-def segment_term(form: ModelForm, x, tau: float, h: float, kernel: Kernel):
+def segment_term(form: ModelForm, x, tau, h: float, kernel: Kernel):
     """Smoothed segment term and its first two tau-derivatives.
 
-    Returns (value, d_tau, d_tau2), each with the shape of x.  The 1/h
-    powers only ever multiply kernel values that are exactly zero outside
-    the clamp window, so no inf*0 products arise.  Only the scalars tau
-    and h are checked here; an overflow of x - tau reaches the
-    log-likelihood check.
+    Returns (value, d_tau, d_tau2), each with the shape of x - tau: that of
+    x for a scalar tau, G x n for a column of G candidate change points.
+    The 1/h powers only ever multiply kernel values that are exactly zero
+    outside the clamp window, so no inf*0 products arise.  Only tau and h
+    are checked here; an overflow of x - tau reaches the log-likelihood
+    check.
     """
-    if not (h > 0 and np.isfinite(tau)):
+    if not (h > 0 and np.all(np.isfinite(tau))):
         raise DomainError("bandwidth must be positive and tau finite")
     x = np.asarray(x, dtype=float)
     d = x - tau
@@ -198,40 +200,63 @@ def design(data: Dataset, *segment_cols) -> np.ndarray:
     return np.column_stack(cols)
 
 
-def _check_dims(spec: ModelSpec, params: ParamVector, data: Dataset) -> None:
-    if len(params.gamma) != spec.n_covariates or data.k != spec.n_covariates:
+def _theta(spec: ModelSpec, coef: np.ndarray, tau, data: Dataset, h: float):
+    """theta_i for every observation, with the segment term and its two
+    tau-derivatives it was built from.
+
+    coef holds (beta0, beta1, beta2, gamma...) along its last axis.  A
+    G x (3 + k) coef with a G x 1 column tau gives G x n arrays, one row
+    per candidate.
+    """
+    n_coef = 3 + spec.n_covariates
+    if coef.shape[-1] != n_coef or data.k != spec.n_covariates:
         raise DomainError(
             f"covariate count mismatch: spec expects {spec.n_covariates}, "
-            f"params carry {len(params.gamma)}, data carries {data.k}"
+            f"params carry {coef.shape[-1] - 3}, data carries {data.k}"
         )
-
-
-def _theta(spec: ModelSpec, params: ParamVector, data: Dataset, h: float):
-    """theta_i for every observation, with the segment term and its two
-    tau-derivatives it was built from."""
-    _check_dims(spec, params, data)
-    seg, d_tau, d_tau2 = segment_term(spec.form, data.x, params.tau, h, spec.kernel)
-    theta = params.beta0 + params.beta1 * data.x + params.beta2 * seg
-    if params.gamma:
-        theta = theta + data.z @ np.asarray(params.gamma)
+    seg, d_tau, d_tau2 = segment_term(spec.form, data.x, tau, h, spec.kernel)
+    theta = coef[..., 0:1] + coef[..., 1:2] * data.x + coef[..., 2:3] * seg
+    if spec.n_covariates:
+        theta = theta + (data.z @ coef[..., 3:].T).T
     return theta, seg, d_tau, d_tau2
 
 
-def _loglik(family: Family, theta: np.ndarray, y: np.ndarray) -> float:
-    """Log-likelihood sum; the one check that theta and b(theta) are finite."""
+def _coef(params: ParamVector) -> np.ndarray:
+    return np.array([params.beta0, params.beta1, params.beta2, *params.gamma])
+
+
+def _loglik(family: Family, theta: np.ndarray, y: np.ndarray):
+    """Log-likelihood sums over the last axis of theta; the one check that
+    theta and b(theta) are finite."""
     terms = y * theta - families.cumulant(family, theta)
-    if not np.all(np.isfinite(terms)):
-        idx = int(np.flatnonzero(~np.isfinite(terms))[0])
+    bad = ~np.isfinite(terms)
+    if bad.any():
+        idx = int(np.nonzero(bad)[-1][0])
         raise NumericError(
             f"non-finite objective contribution at observation {idx}", index=idx
         )
-    return float(np.sum(terms))
+    return terms.sum(axis=-1)
 
 
 def objective(spec: ModelSpec, params: ParamVector, data: Dataset, h: float) -> float:
     """Smoothed log-likelihood sum(y * theta - b(theta)), dropping the
     parameter-free log c(y) term."""
-    return _loglik(spec.family, _theta(spec, params, data, h)[0], data.y)
+    theta = _theta(spec, _coef(params), params.tau, data, h)[0]
+    return float(_loglik(spec.family, theta, data.y))
+
+
+def profile_objective(
+    spec: ModelSpec, coef: np.ndarray, taus: np.ndarray, data: Dataset, h: float
+) -> np.ndarray:
+    """objective() of G candidates in one pass.
+
+    Row g of the G x (3 + k) coef holds (beta0, beta1, beta2, gamma...) of
+    the candidate whose change point is taus[g].  Works on G x n arrays;
+    the caller bounds G.  Raises NumericError if any candidate's
+    log-likelihood is not finite.
+    """
+    theta = _theta(spec, coef, np.asarray(taus, dtype=float)[:, None], data, h)[0]
+    return _loglik(spec.family, theta, data.y)
 
 
 def evaluate(spec: ModelSpec, params: ParamVector, data: Dataset, h: float):
@@ -245,8 +270,8 @@ def evaluate(spec: ModelSpec, params: ParamVector, data: Dataset, h: float):
     residual terms of the (beta2, tau) and (tau, tau) entries, the two
     places where theta is nonlinear in the parameters.
     """
-    theta, seg, d_tau, d_tau2 = _theta(spec, params, data, h)
-    q = _loglik(spec.family, theta, data.y)
+    theta, seg, d_tau, d_tau2 = _theta(spec, _coef(params), params.tau, data, h)
+    q = float(_loglik(spec.family, theta, data.y))
     D = design(data, seg, params.beta2 * d_tau)
     resid = data.y - families.mean(spec.family, theta)
     w = families.variance(spec.family, theta)

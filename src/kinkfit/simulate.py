@@ -2,8 +2,8 @@
 
 A scenario fixes the generating truth (indicator model, not the smoothed
 one), the sample size, and the estimation settings.  Replicate r of a
-scenario is fully determined by (seed, r), so runs are reproducible
-regardless of execution order or worker count.
+scenario is fully determined by (seed, r), so runs are reproducible and
+any subset of replicates can be rerun on its own.
 """
 
 from __future__ import annotations

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from kinkfit.errors import DataError, IdentifiabilityError
+from kinkfit.errors import DataError, IdentifiabilityError, KinkfitError
 from kinkfit.estimator import (
     FitConfig,
     fit,
@@ -115,6 +115,27 @@ def test_fit_never_decreases_the_objective():
     assert res.objective_value >= objective(spec, init, data, h) - 1e-12
     assert res.objective_value == pytest.approx(
         objective(spec, res.params, data, h))
+
+
+def test_singular_newton_system_is_a_convergence_error():
+    # Found by tests/test_fuzz.py: x takes two values, so the linear-
+    # quadratic design is rank deficient.  From this start the negative
+    # Hessian passes the Cholesky test, but the LU solve of the Newton
+    # step meets an exact zero pivot; that was a raw LinAlgError.
+    spec = make_spec(form="linear-quadratic", bandwidth="n^-1", n_covariates=1)
+    rng = np.random.default_rng(613)
+    u = rng.integers(0, 2, 37).astype(float)
+    z = rng.standard_normal((37, 1))
+    theta = 0.5 + u - 1.5 * indicator_segment(spec.form, u, 0.25) + 0.5 * z[:, 0]
+    data = Dataset(x=20.0 * u - 10.0, y=theta + rng.standard_normal(37), z=z)
+    init = ParamVector.from_array([float.fromhex(v) for v in (
+        "0x1.62b9d53fe66b4p-2", "0x1.54c152bcc8df7p-8", "0x1.c994d09a573b9p-10",
+        "-0x1.4ccccccccccf0p+2", "0x1.41d1cf5f5b583p-2")])
+    try:
+        res = fit(spec, data, init=init)
+    except KinkfitError:
+        return
+    assert np.all(np.isfinite(res.params.to_array()))
 
 
 @pytest.mark.parametrize("max_iter", [100, 1])
