@@ -15,7 +15,7 @@ from .kernels import (
     parse_kernel,
 )
 from .model import Dataset, ModelForm, ModelSpec, ParamVector
-from .estimator import FitConfig, FitResult, fit, linearized_fit, profile_init
+from .estimator import FitResult, fit, linearized_fit, profile_init
 from .inference import bootstrap_ci, delta_se_tau, run_inference, sandwich_cov
 from .simulate import SimScenario, SimReport, generate, load_scenario, qq_export, run
 
@@ -27,7 +27,6 @@ __all__ = [
     "ModelSpec",
     "ParamVector",
     "Dataset",
-    "FitConfig",
     "FitResult",
     "fit",
     "profile_init",

@@ -31,7 +31,7 @@ from .errors import (
     KinkfitError,
     NumericError,
 )
-from .estimator import FitConfig, FitResult, fit
+from .estimator import FitResult, fit
 from .families import in_support, parse_family
 from .inference import InferenceResult, run_inference
 from .kernels import kernel_order, parse_bandwidth, parse_kernel, validate
@@ -189,8 +189,7 @@ def _cmd_fit(args) -> int:
     grid = None
     if args.tau_grid.strip():
         grid = tuple(float(t) for t in args.tau_grid.split(","))
-    config = FitConfig(tau_grid=grid)
-    fr = fit(spec, data, config)
+    fr = fit(spec, data, tau_grid=grid)
     if not fr.converged:
         raise ConvergenceError(
             f"fit did not converge in {fr.iterations} iterations "

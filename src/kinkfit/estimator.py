@@ -17,7 +17,7 @@ change point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +27,6 @@ from .errors import (
     ConvergenceError,
     DataError,
     DegenerateDesignError,
-    DomainError,
     IdentifiabilityError,
     InitializationError,
     NumericError,
@@ -47,7 +46,6 @@ from .model import (
 )
 
 __all__ = [
-    "FitConfig",
     "FitResult",
     "LinearizedFit",
     "profile_init",
@@ -61,27 +59,12 @@ _BETA2_EPS = 1e-10
 # Convergence tolerance: max|score| < _TOL * n and accepted step norm < _TOL.
 _TOL = 1e-5
 _STEP_HALVING_MAX = 30
+# Newton iterations before fit gives up.
+_NEWTON_MAX_ITER = 100
 # profile_init stacks at most this many candidate x observation values per
 # array (but at least one candidate), so a larger grid costs more blocks,
 # not more memory: 128 KiB per stacked array.
 _STACK_ELEMS = 2**14
-
-
-@dataclass(frozen=True)
-class FitConfig:
-    """Optimizer knobs.
-
-    tau_grid: explicit candidate change points, or None for the automatic
-    grid (21 equally spaced quantiles of x between the 10th and 90th
-    percentile).  max_iter: Newton iterations before fit gives up.
-    """
-
-    tau_grid: tuple[float, ...] | None = None
-    max_iter: int = 100
-
-    def __post_init__(self):
-        if self.max_iter < 1:
-            raise DomainError("max_iter must be positive")
 
 
 @dataclass(frozen=True)
@@ -229,24 +212,28 @@ def _auto_grid(x: np.ndarray) -> np.ndarray:
     return np.quantile(x, np.linspace(0.1, 0.9, 21))
 
 
-def profile_init(spec: ModelSpec, data: Dataset, config: FitConfig | None = None) -> ParamVector:
+def profile_init(
+    spec: ModelSpec, data: Dataset, tau_grid: tuple[float, ...] | None = None
+) -> ParamVector:
     """Best fixed-change-point GLM over the candidate grid.
 
-    Each candidate is an ordinary GLM with the hard-indicator regressor.
-    The sorted candidates are taken in blocks of at most 2^14 / n (at
-    least one), so that no stacked candidate x observation array exceeds
-    2^14 values; at n = 500 the 21-point automatic grid is one block.  A
-    block is fit by one stacked IRLS, and its converged candidates are
-    scored by one vectorized smoothed-objective pass.  A candidate whose
-    IRLS fails (singular, diverged or not converged) is dropped alone.
-    The winner is the candidate maximizing the smoothed objective, ties
-    going to the smallest candidate.
+    tau_grid holds explicit candidate change points, each strictly inside
+    the x range; None gives the automatic grid, 21 equally spaced
+    quantiles of x between the 10th and 90th percentile.  Each candidate
+    is an ordinary GLM with the hard-indicator regressor.  The sorted
+    candidates are taken in blocks of at most 2^14 / n (at least one), so
+    that no stacked candidate x observation array exceeds 2^14 values; at
+    n = 500 the 21-point automatic grid is one block.  A block is fit by
+    one stacked IRLS, and its converged candidates are scored by one
+    vectorized smoothed-objective pass.  A candidate whose IRLS fails
+    (singular, diverged or not converged) is dropped alone.  The winner is
+    the candidate maximizing the smoothed objective, ties going to the
+    smallest candidate.
     """
-    config = config or FitConfig()
     data.check_family(spec.family)
     h = bandwidth(spec.bw, data.n)
-    if config.tau_grid is not None:
-        grid = np.asarray(config.tau_grid, dtype=float)
+    if tau_grid is not None:
+        grid = np.asarray(tau_grid, dtype=float)
         xmin, xmax = data.x.min(), data.x.max()
         if np.any(grid <= xmin) or np.any(grid >= xmax):
             raise DataError("tau grid candidates must lie strictly inside the x range")
@@ -293,21 +280,22 @@ def _chol_ok(M: np.ndarray) -> bool:
 def fit(
     spec: ModelSpec,
     data: Dataset,
-    config: FitConfig | None = None,
+    *,
     init: ParamVector | None = None,
+    tau_grid: tuple[float, ...] | None = None,
 ) -> FitResult:
     """Maximize the smoothed objective by damped Newton ascent.
 
-    Starts from profile_init unless an explicit warm start is given.  The
-    change point is projected into [x(2), x(n-1)] after every step.  A
-    step is accepted only if the objective strictly increases (halving up
-    to 30 times); convergence requires a small gradient, a
-    small accepted step, and a positive definite negative Hessian.
+    Starts from profile_init over tau_grid unless an explicit warm start
+    is given, which leaves tau_grid unused.  The change point is projected
+    into [x(2), x(n-1)] after every step.  A step is accepted only if the
+    objective strictly increases (halving up to 30 times); convergence
+    requires a small gradient, a small accepted step, and a positive
+    definite negative Hessian.  The fit gives up after 100 iterations.
     """
-    config = config or FitConfig()
     h = bandwidth(spec.bw, data.n)
     if init is None:
-        init = profile_init(spec, data, config)
+        init = profile_init(spec, data, tau_grid)
     data.check_family(spec.family)
     xs = np.sort(data.x)
     lo, hi = xs[1], xs[-2]
@@ -317,7 +305,7 @@ def fit(
     q, S, J, Sig = evaluate(spec, ParamVector.from_array(p), data, h)
     converged = False
     it = 0
-    for it in range(1, config.max_iter + 1):
+    for it in range(1, _NEWTON_MAX_ITER + 1):
         if _chol_ok(J):
             M = J
         else:

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .errors import BootstrapError, InferenceError, KinkfitError
-from .estimator import FitConfig, FitResult, LinearizedFit, fit, linearized_fit
+from .estimator import FitResult, LinearizedFit, fit, linearized_fit
 from .model import Dataset, ModelSpec
 
 __all__ = [
@@ -100,7 +100,6 @@ def bootstrap_ci(
     B: int,
     level: float = 0.95,
     seed=0,
-    config: FitConfig | None = None,
 ):
     """Stratified percentile bootstrap intervals.
 
@@ -135,7 +134,7 @@ def bootstrap_ci(
         ])
         sample = data.take(idx)
         try:
-            refit = fit(spec, sample, config, init=fit_result.params)
+            refit = fit(spec, sample, init=fit_result.params)
         except KinkfitError:
             failed += 1
             continue
@@ -156,7 +155,6 @@ def run_inference(
     level: float = 0.95,
     bootstrap_B: int = 0,
     seed=0,
-    config: FitConfig | None = None,
 ) -> InferenceResult:
     """Assemble all inference outputs for a converged fit."""
     cov = sandwich_cov(fit_result)
@@ -178,7 +176,7 @@ def run_inference(
     used = 0
     if bootstrap_B:
         ci_boot, used = bootstrap_ci(
-            spec, data, fit_result, bootstrap_B, level=level, seed=seed, config=config
+            spec, data, fit_result, bootstrap_B, level=level, seed=seed
         )
     return InferenceResult(
         cov_sandwich=cov,

@@ -38,7 +38,12 @@ __all__ = [
 CLAMP = 1.0e3
 
 # Smallest bandwidth ever used; guards pathological n in power-law rules.
-DEFAULT_FLOOR = float(np.finfo(float).eps) ** 0.75
+BANDWIDTH_FLOOR = float(np.finfo(float).eps) ** 0.75
+# kernel_order looks for a nonzero K' moment above _MOMENT_TOL up to this order.
+_MAX_ORDER = 8
+_MOMENT_TOL = 1e-6
+# validate's bound on |u| K'(u) and u^2 K''(u) at |u| = 1e3.
+_TAIL_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -120,14 +125,13 @@ def eval_kernel(kernel: Kernel, u):
 class BandwidthRule:
     """Bandwidth schedule h(n).
 
-    form "power": h = max(floor, n**exponent); the exponent must be
-    negative so that h -> 0 as n grows.  form "fixed": a constant h.
+    form "power": h = max(BANDWIDTH_FLOOR, n**exponent); the exponent must
+    be negative so that h -> 0 as n grows.  form "fixed": a constant h.
     """
 
     form: str  # "power" | "fixed"
     exponent: float = 0.0
     h: float = 0.0
-    floor: float = DEFAULT_FLOOR
 
     def __post_init__(self):
         if self.form not in ("power", "fixed"):
@@ -136,8 +140,6 @@ class BandwidthRule:
             raise DomainError("power-law bandwidth exponent must be negative")
         if self.form == "fixed" and self.h <= 0:
             raise DomainError("fixed bandwidth must be positive")
-        if self.floor <= 0:
-            raise DomainError("bandwidth floor must be positive")
 
 
 def bandwidth(rule: BandwidthRule, n: int) -> float:
@@ -146,10 +148,10 @@ def bandwidth(rule: BandwidthRule, n: int) -> float:
         raise DomainError("sample size must be at least 1")
     if rule.form == "fixed":
         return rule.h
-    return max(rule.floor, float(n) ** rule.exponent)
+    return max(BANDWIDTH_FLOOR, float(n) ** rule.exponent)
 
 
-def kernel_order(kernel: Kernel, max_order: int = 8, tol: float = 1e-6) -> int:
+def kernel_order(kernel: Kernel) -> int:
     """Smallest i >= 1 with a nonzero i-th moment of K'.
 
     Moments are computed by adaptive quadrature of v**i K'(v) over the
@@ -157,12 +159,12 @@ def kernel_order(kernel: Kernel, max_order: int = 8, tol: float = 1e-6) -> int:
     """
     lo, hi = kernel.support
     lo, hi = max(lo, -50.0), min(hi, 50.0)
-    for i in range(1, max_order + 1):
+    for i in range(1, _MAX_ORDER + 1):
         m, _ = integrate.quad(lambda v, i=i: v**i * kernel.kp(v), lo, hi, limit=200)
-        if abs(m) > tol:
+        if abs(m) > _MOMENT_TOL:
             return i
     raise ValidationError(
-        f"kernel {kernel.name!r} has no nonzero K' moment up to order {max_order}"
+        f"kernel {kernel.name!r} has no nonzero K' moment up to order {_MAX_ORDER}"
     )
 
 
@@ -190,7 +192,7 @@ class KernelReport:
         )
 
 
-def validate(kernel: Kernel, tail_tol: float = 1e-6) -> KernelReport:
+def validate(kernel: Kernel) -> KernelReport:
     """Check the limit, boundedness and tail-decay conditions.
 
     Failures are reported, never raised: a rejected kernel is a result,
@@ -214,8 +216,8 @@ def validate(kernel: Kernel, tail_tol: float = 1e-6) -> KernelReport:
         monotone_ok=monotone_ok,
         kp_bounded=kp_bounded,
         kpp_bounded=kpp_bounded,
-        tail_first=t1 < tail_tol,
-        tail_second=t2 < tail_tol,
+        tail_first=t1 < _TAIL_TOL,
+        tail_second=t2 < _TAIL_TOL,
         checks={"tail_first_value": t1, "tail_second_value": t2},
     )
 

@@ -8,17 +8,17 @@ any subset of replicates can be rerun on its own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import families
-from .errors import DataError, DomainError, KinkfitError
-from .estimator import FitConfig, fit
-from .families import Family, parse_family
+from .errors import ConvergenceError, DataError, DomainError, KinkfitError
+from .estimator import fit
+from .families import parse_family
 from .inference import run_inference
 from .kernels import parse_bandwidth, parse_kernel
-from .model import Dataset, ModelForm, ModelSpec, ParamVector, indicator_segment, parse_form
+from .model import Dataset, ModelSpec, ParamVector, indicator_segment, parse_form
 
 __all__ = ["SimScenario", "SimReport", "generate", "run", "qq_export", "load_scenario"]
 
@@ -55,9 +55,6 @@ class SimScenario:
             form=parse_form(self.form),
             n_covariates=len(self.true_params.gamma),
         )
-
-    def fit_config(self) -> FitConfig:
-        return FitConfig(tau_grid=self.tau_grid)
 
 
 @dataclass(frozen=True)
@@ -135,7 +132,6 @@ def run(scenario: SimScenario) -> SimReport:
     moments and counted; more than 5% of them flags the report degraded.
     """
     spec = scenario.model_spec()
-    config = scenario.fit_config()
     truth = scenario.true_params.to_array()
     names = _param_names(len(scenario.true_params.gamma))
     ests, ses, ses_delta, cover, cover_boot = [], [], [], [], []
@@ -143,9 +139,10 @@ def run(scenario: SimScenario) -> SimReport:
     for r in range(scenario.replications):
         data = generate(scenario, r)
         try:
-            fr = fit(spec, data, config)
+            fr = fit(spec, data, tau_grid=scenario.tau_grid)
             if not fr.converged:
-                raise KinkfitError("non-converged")
+                failed += 1
+                continue
             inf = run_inference(
                 spec,
                 data,
@@ -153,7 +150,6 @@ def run(scenario: SimScenario) -> SimReport:
                 level=scenario.level,
                 bootstrap_B=scenario.bootstrap_B,
                 seed=[scenario.seed, r, 1],
-                config=config,
             )
         except KinkfitError:
             failed += 1
@@ -168,7 +164,7 @@ def run(scenario: SimScenario) -> SimReport:
                 (inf.ci_bootstrap[:, 0] <= truth) & (truth <= inf.ci_bootstrap[:, 1])
             )
     if not ests:
-        raise KinkfitError("every replicate failed to fit")
+        raise ConvergenceError("every replicate failed to fit")
     E = np.asarray(ests)
     report = SimReport(
         scenario=scenario,

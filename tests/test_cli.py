@@ -194,6 +194,24 @@ def test_simulate_smoke_scenario(tmp_path, capsys, monkeypatch):
     assert (tmp_path / "smoke_qq.csv").exists()
 
 
+@pytest.mark.parametrize("failure", ["raises", "not-converged"])
+def test_simulate_with_every_replicate_failed_is_a_fit_error(failure, capsys, monkeypatch):
+    import pathlib
+    from kinkfit import simulate
+    from kinkfit.errors import ConvergenceError
+
+    def failing_fit(*args, **kwargs):
+        if failure == "raises":
+            raise ConvergenceError("curvature matrix not repairable by ridge")
+        return dataclasses.replace(fit(*args, **kwargs), converged=False)
+
+    monkeypatch.setattr(simulate, "fit", failing_fit)
+    scen = pathlib.Path(__file__).resolve().parent.parent / "scenarios" / "smoke.scenario"
+    assert main(["simulate", "--scenario", str(scen)]) == EXIT_NONCONV
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "fit-error", "message": "every replicate failed to fit"}
+
+
 def test_simulate_seed_override_changes_results(tmp_path, capsys):
     import pathlib
     scen = pathlib.Path(__file__).resolve().parent.parent / "scenarios" / "smoke.scenario"

@@ -2,9 +2,9 @@
 import numpy as np
 import pytest
 
+from kinkfit import estimator
 from kinkfit.errors import DataError, IdentifiabilityError, KinkfitError
 from kinkfit.estimator import (
-    FitConfig,
     fit,
     fit_beta_given_tau,
     glm_irls,
@@ -23,8 +23,7 @@ GRID_WITH_TRUTH = tuple(np.round(np.linspace(0.1, 0.9, 17), 4))
 def test_noise_free_recovery_is_exact_and_fast():
     spec = make_spec()
     data = make_data(spec, n=200, seed=1, noise=False)
-    config = FitConfig(tau_grid=GRID_WITH_TRUTH)
-    res = fit(spec, data, config)
+    res = fit(spec, data, tau_grid=GRID_WITH_TRUTH)
     assert res.converged
     assert res.iterations <= 5
     est = res.params.to_array()
@@ -34,7 +33,7 @@ def test_noise_free_recovery_is_exact_and_fast():
 def test_profile_init_recovers_grid_point_truth():
     spec = make_spec()
     data = make_data(spec, n=300, seed=2, noise=False)
-    init = profile_init(spec, data, FitConfig(tau_grid=GRID_WITH_TRUTH))
+    init = profile_init(spec, data, tau_grid=GRID_WITH_TRUTH)
     assert init.tau == pytest.approx(0.5)
     np.testing.assert_allclose(
         [init.beta0, init.beta1, init.beta2], [2.0, 3.0, -5.0], atol=1e-8)
@@ -46,7 +45,7 @@ def test_profile_init_usually_lands_near_truth():
     trials = 60
     for s in range(trials):
         data = make_data(spec, n=500, seed=1000 + s)
-        init = profile_init(spec, data, FitConfig(tau_grid=GRID_WITH_TRUTH))
+        init = profile_init(spec, data, tau_grid=GRID_WITH_TRUTH)
         if abs(init.tau - 0.5) <= 0.101:
             hits += 1
     assert hits >= int(0.95 * trials)
@@ -65,7 +64,7 @@ def test_tau_grid_must_be_interior():
     spec = make_spec()
     data = make_data(spec, n=100, seed=4)
     with pytest.raises(DataError):
-        profile_init(spec, data, FitConfig(tau_grid=(data.x.min(), 0.5)))
+        profile_init(spec, data, tau_grid=(data.x.min(), 0.5))
 
 
 def test_fit_matches_indicator_glm_at_tiny_bandwidth():
@@ -139,13 +138,15 @@ def test_singular_newton_system_is_a_convergence_error():
 
 
 @pytest.mark.parametrize("max_iter", [100, 1])
-def test_fit_result_describes_the_returned_params(max_iter):
+def test_fit_result_describes_the_returned_params(max_iter, monkeypatch):
     # The gradient norm and both curvature matrices are those of the
     # returned point, also when the iteration limit stops the fit.
+    monkeypatch.setattr(estimator, "_NEWTON_MAX_ITER", max_iter)
     spec = make_spec(family=Family.BERNOULLI_LOGIT, bandwidth="n^-3")
     data = make_data(spec, n=500, seed=7)
     h = bandwidth(spec.bw, data.n)
-    res = fit(spec, data, FitConfig(max_iter=max_iter))
+    res = fit(spec, data)
+    assert res.iterations <= max_iter
     assert res.converged == (max_iter == 100)
     q, S, J, Sig = evaluate(spec, res.params, data, h)
     assert q == objective(spec, res.params, data, h)

@@ -7,6 +7,7 @@ from scipy.special import ndtr
 
 from kinkfit.errors import DomainError
 from kinkfit.kernels import (
+    BANDWIDTH_FLOOR,
     CLAMP,
     BandwidthRule,
     bandwidth,
@@ -124,8 +125,9 @@ def test_bandwidth_power_rule():
 
 
 def test_bandwidth_floor_engages():
-    rule = BandwidthRule(form="power", exponent=-8.0, floor=1e-12)
-    assert bandwidth(rule, 10**6) == 1e-12
+    rule = BandwidthRule(form="power", exponent=-8.0)
+    assert float(10**6) ** -8.0 < BANDWIDTH_FLOOR
+    assert bandwidth(rule, 10**6) == BANDWIDTH_FLOOR
 
 
 def test_bandwidth_fixed_and_errors():

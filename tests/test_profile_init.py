@@ -4,7 +4,7 @@ import pytest
 
 from kinkfit import estimator
 from kinkfit.errors import ConvergenceError, InitializationError
-from kinkfit.estimator import FitConfig, glm_irls, profile_init
+from kinkfit.estimator import glm_irls, profile_init
 from kinkfit.families import Family
 from kinkfit.kernels import bandwidth
 from kinkfit.model import Dataset, ParamVector, design, indicator_segment, objective
@@ -45,7 +45,7 @@ def reference_profile(spec, data, grid):
 
 def assert_same_winner(spec, data, grid):
     tau, coef = reference_profile(spec, data, grid)
-    init = profile_init(spec, data, FitConfig(tau_grid=tuple(grid)))
+    init = profile_init(spec, data, tau_grid=tuple(grid))
     assert init.tau == tau
     got = np.delete(init.to_array(), 3)
     np.testing.assert_allclose(got, coef, rtol=0, atol=1e-10)
@@ -102,7 +102,7 @@ def test_every_failed_candidate_is_an_initialization_error():
     with pytest.raises(InitializationError):
         reference_profile(spec, data, [0.5, 0.75])
     with pytest.raises(InitializationError):
-        profile_init(spec, data, FitConfig(tau_grid=(0.5, 0.75)))
+        profile_init(spec, data, tau_grid=(0.5, 0.75))
 
 
 @pytest.mark.parametrize("family", list(Family))
@@ -123,7 +123,7 @@ def test_grid_split_into_several_blocks(family, monkeypatch):
 
     grid = edge_grid(data.x, inner=21)
     monkeypatch.setattr(estimator, "_irls", recording_irls)
-    profile_init(spec, data, FitConfig(tau_grid=tuple(grid)))
+    profile_init(spec, data, tau_grid=tuple(grid))
     monkeypatch.undo()
     assert blocks == [8, 8, 8, 1]
     assert_same_winner(spec, data, grid)
