@@ -164,8 +164,8 @@ def _irls(family: Family, C: np.ndarray, T: np.ndarray, y: np.ndarray):
     for _ in range(1 if normal else _IRLS_MAX_ITER):
         tt = t.transpose(0, 2, 1)
         eta = b[:, :q] @ C.T + np.matmul(t, b[:, q:, None])[:, :, 0]
-        w = families.variance(family, eta)
-        r = y - families.mean(family, eta)
+        mu, w = families.mean_variance(family, eta)
+        r = y - mu
         wtt = tt if normal else (w[:, :, None] * t).transpose(0, 2, 1)  # normal: w = 1
         M = np.empty((active.size, p, p))
         M[:, :q, :q] = (w @ CC).reshape(active.size, q, q)
@@ -327,9 +327,15 @@ def fit(
             # M passed Cholesky, yet LU can still meet an exact zero pivot
             # when the design is rank deficient (two distinct x values).
             raise ConvergenceError("singular Newton system") from None
+        grad_ok = np.max(np.abs(S)) < _TOL * data.n
+        step_norm = np.linalg.norm(step)
         frac = 1.0
         accepted = False
         for _ in range(_STEP_HALVING_MAX):
+            if grad_ok and frac * step_norm < _TOL:
+                # Stationary already: any step accepted from here on is
+                # shorter than _TOL, so the fit ends either way.
+                break
             trial = p + frac * step
             trial[3] = np.clip(trial[3], lo, hi)
             if abs(trial[2]) < _BETA2_EPS:
@@ -343,7 +349,6 @@ def fit(
                 accepted = True
                 break
             frac /= 2.0
-        grad_ok = np.max(np.abs(S)) < _TOL * data.n
         taken = 0.0
         if accepted:
             taken = np.linalg.norm(trial - p)

@@ -5,7 +5,7 @@ derivatives: ``b'`` is the mean function (the inverse link, since the link
 is natural) and ``b''`` the variance function.  The normal family is fixed
 at unit dispersion.
 
-``cumulant``, ``mean`` and ``variance`` take theta unchecked; the model's
+``cumulant``, ``mean`` and ``mean_variance`` take theta unchecked; the model's
 log-likelihood reports a non-finite theta or b(theta) as NumericError.
 ``sample`` checks theta, which it gets from scenario values.
 """
@@ -19,7 +19,7 @@ from scipy.special import expit
 
 from .errors import DomainError
 
-__all__ = ["Family", "cumulant", "mean", "variance", "sample", "in_support", "parse_family"]
+__all__ = ["Family", "cumulant", "mean", "mean_variance", "sample", "in_support", "parse_family"]
 
 
 class Family(enum.Enum):
@@ -65,17 +65,20 @@ def mean(family: Family, theta):
     return np.exp(theta)
 
 
-def variance(family: Family, theta):
-    """Variance function b''(theta) >= 0.
+def mean_variance(family: Family, theta):
+    """Mean b'(theta) and variance function b''(theta) >= 0 in one pass.
 
-    For the logit family this is computed as expit(theta) * expit(-theta),
-    which stays positive (rather than flushing to 0) far into the tails.
+    For the logit family the variance is expit(theta) * expit(-theta),
+    which stays positive (rather than flushing to 0) far into the tails;
+    the mean's expit is reused, so the pair costs two expit passes.
     """
     if family is Family.NORMAL_IDENTITY:
-        return np.ones_like(theta)
+        return theta + 0.0, np.ones_like(theta)
     if family is Family.BERNOULLI_LOGIT:
-        return expit(theta) * expit(-theta)
-    return np.exp(theta)
+        p = expit(theta)
+        return p, p * expit(-theta)
+    m = np.exp(theta)
+    return m, m
 
 
 def sample(family: Family, theta, rng: np.random.Generator):

@@ -273,8 +273,8 @@ def evaluate(spec: ModelSpec, params: ParamVector, data: Dataset, h: float):
     theta, seg, d_tau, d_tau2 = _theta(spec, _coef(params), params.tau, data, h)
     q = float(_loglik(spec.family, theta, data.y))
     D = design(data, seg, params.beta2 * d_tau)
-    resid = data.y - families.mean(spec.family, theta)
-    w = families.variance(spec.family, theta)
+    mu, w = families.mean_variance(spec.family, theta)
+    resid = data.y - mu
     S = D.T @ resid
     Sig = (D * w[:, None]).T @ D
     J = Sig.copy()

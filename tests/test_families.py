@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from kinkfit.errors import DomainError
-from kinkfit.families import Family, cumulant, in_support, mean, parse_family, sample, variance
+from kinkfit.families import Family, cumulant, in_support, mean_variance, parse_family, sample
 
 ALL = [Family.NORMAL_IDENTITY, Family.BERNOULLI_LOGIT, Family.POISSON_LOG]
 
@@ -15,12 +15,12 @@ def test_known_values():
     assert cumulant(Family.NORMAL_IDENTITY, 3.0) == pytest.approx(4.5)
     assert cumulant(Family.BERNOULLI_LOGIT, 0.0) == pytest.approx(np.log(2.0))
     assert cumulant(Family.POISSON_LOG, 1.0) == pytest.approx(np.e)
-    assert mean(Family.NORMAL_IDENTITY, -2.5) == pytest.approx(-2.5)
-    assert mean(Family.BERNOULLI_LOGIT, 0.0) == pytest.approx(0.5)
-    assert mean(Family.POISSON_LOG, 0.0) == pytest.approx(1.0)
-    assert variance(Family.NORMAL_IDENTITY, 7.0) == pytest.approx(1.0)
-    assert variance(Family.BERNOULLI_LOGIT, 0.0) == pytest.approx(0.25)
-    assert variance(Family.POISSON_LOG, 2.0) == pytest.approx(np.exp(2.0))
+    assert mean_variance(Family.NORMAL_IDENTITY, -2.5)[0] == pytest.approx(-2.5)
+    assert mean_variance(Family.BERNOULLI_LOGIT, 0.0)[0] == pytest.approx(0.5)
+    assert mean_variance(Family.POISSON_LOG, 0.0)[0] == pytest.approx(1.0)
+    assert mean_variance(Family.NORMAL_IDENTITY, 7.0)[1] == pytest.approx(1.0)
+    assert mean_variance(Family.BERNOULLI_LOGIT, 0.0)[1] == pytest.approx(0.25)
+    assert mean_variance(Family.POISSON_LOG, 2.0)[1] == pytest.approx(np.exp(2.0))
 
 
 def test_logit_cumulant_stable_in_tails():
@@ -30,7 +30,7 @@ def test_logit_cumulant_stable_in_tails():
     # moderate tail against the exact softplus identity
     expected = 50.0 + np.log1p(np.exp(-50.0))
     assert cumulant(Family.BERNOULLI_LOGIT, 50.0) == pytest.approx(expected, rel=1e-15)
-    v = variance(Family.BERNOULLI_LOGIT, 40.0)
+    v = mean_variance(Family.BERNOULLI_LOGIT, 40.0)[1]
     assert v == pytest.approx(np.exp(-40.0), rel=1e-10)
 
 
@@ -39,21 +39,21 @@ def test_logit_cumulant_stable_in_tails():
 def test_mean_is_cumulant_derivative(family, theta):
     eps = 1e-6
     fd = (cumulant(family, theta + eps) - cumulant(family, theta - eps)) / (2 * eps)
-    assert mean(family, theta) == pytest.approx(fd, rel=1e-6, abs=1e-8)
+    assert mean_variance(family, theta)[0] == pytest.approx(fd, rel=1e-6, abs=1e-8)
 
 
 @pytest.mark.parametrize("family", ALL)
 @given(theta=theta_grid)
 def test_variance_is_mean_derivative(family, theta):
     eps = 1e-6
-    fd = (mean(family, theta + eps) - mean(family, theta - eps)) / (2 * eps)
-    assert variance(family, theta) == pytest.approx(fd, rel=1e-5, abs=1e-8)
+    fd = (mean_variance(family, theta + eps)[0] - mean_variance(family, theta - eps)[0]) / (2 * eps)
+    assert mean_variance(family, theta)[1] == pytest.approx(fd, rel=1e-5, abs=1e-8)
 
 
 @pytest.mark.parametrize("family", ALL)
 @given(theta=theta_grid)
 def test_variance_nonnegative(family, theta):
-    assert variance(family, theta) >= 0.0
+    assert mean_variance(family, theta)[1] >= 0.0
 
 
 @pytest.mark.parametrize("family", ALL)
@@ -61,8 +61,8 @@ def test_sampling_matches_moments(family):
     rng = np.random.default_rng(42)
     theta = np.full(100_000, 0.7)
     y = sample(family, theta, rng)
-    m = mean(family, 0.7)
-    sd = np.sqrt(variance(family, 0.7) / y.size)
+    m, v = mean_variance(family, 0.7)
+    sd = np.sqrt(v / y.size)
     assert abs(y.mean() - m) < 4.0 * sd
 
 
