@@ -36,7 +36,7 @@ from .families import in_support, parse_family
 from .inference import InferenceResult, run_inference
 from .kernels import kernel_order, parse_bandwidth, parse_kernel, validate
 from .model import Dataset, ModelSpec, parse_form
-from .simulate import load_scenario, qq_export, run
+from .simulate import load_scenario, parse_number, qq_export, run
 
 SCHEMA_VERSION = 1
 
@@ -188,7 +188,7 @@ def _cmd_fit(args) -> int:
     )
     grid = None
     if args.tau_grid.strip():
-        grid = tuple(float(t) for t in args.tau_grid.split(","))
+        grid = tuple(parse_number("--tau-grid", t) for t in args.tau_grid.split(","))
     fr = fit(spec, data, tau_grid=grid)
     if not fr.converged:
         raise ConvergenceError(

@@ -9,6 +9,13 @@ indefinite -- which happens routinely while the change point sits inside a
 smoothing window -- the step falls back to the always-PSD weighted Gram
 matrix (Fisher scoring) with ridge escalation.
 
+The Newton ascent is one stacked loop over G problems of the same size
+(_newton): each problem takes its own steps, halvings and stop, and
+leaves the loop when it stops.  fit is its one-problem case; fit_stack
+runs a block of problems, such as the replicates of a Monte Carlo study
+or the resamples of a bootstrap, at once.  A problem's result does not
+depend on the block it runs in.
+
 A one-step linearized refit is also provided: at a frozen working change
 point it turns the model into an ordinary GLM in constructed regressors,
 whose standard covariance feeds the delta-method standard error of the
@@ -29,6 +36,7 @@ from .errors import (
     DegenerateDesignError,
     IdentifiabilityError,
     InitializationError,
+    KinkfitError,
     NumericError,
 )
 from .families import Family
@@ -38,9 +46,9 @@ from .model import (
     ModelSpec,
     ParamVector,
     design,
-    evaluate,
+    evaluate_rows,
     indicator_segment,
-    objective,
+    objective_rows,
     profile_objective,
     segment_term,
 )
@@ -50,6 +58,8 @@ __all__ = [
     "LinearizedFit",
     "profile_init",
     "fit",
+    "fit_stack",
+    "rows_per_block",
     "fit_beta_given_tau",
     "linearized_fit",
     "glm_irls",
@@ -61,9 +71,10 @@ _TOL = 1e-5
 _STEP_HALVING_MAX = 30
 # Newton iterations before fit gives up.
 _NEWTON_MAX_ITER = 100
-# profile_init stacks at most this many candidate x observation values per
-# array (but at least one candidate), so a larger grid costs more blocks,
-# not more memory: 128 KiB per stacked array.
+# A stacked pass (profile_init's candidates, fit_stack's problems) holds at
+# most this many problem x observation values per array (but at least one
+# problem), so more problems cost more blocks, not more memory: 128 KiB
+# per stacked array.  rows_per_block turns it into a block size.
 _STACK_ELEMS = 2**14
 
 
@@ -111,8 +122,12 @@ class LinearizedFit:
 # _IRLS_MAX_ITER steps.
 _IRLS_TOL = 1e-10
 _IRLS_MAX_ITER = 60
-# Outcome of each stacked IRLS fit.
-_CONVERGED, _SINGULAR, _DIVERGED, _MAX_ITER = range(4)
+# Outcome of each stacked fit.  IRLS ends in one of the first four.  A
+# Newton fit ends _CONVERGED or _STOPPED with a result, or with one of
+# the failures that fit raises: _NUMERIC as NumericError, _NO_RIDGE and
+# _SINGULAR as ConvergenceError, _BOUNDARY as BoundaryError.
+(_CONVERGED, _SINGULAR, _DIVERGED, _MAX_ITER,
+ _STOPPED, _NUMERIC, _NO_RIDGE, _BOUNDARY) = range(8)
 
 
 def _solve(M: np.ndarray, rhs: np.ndarray):
@@ -217,8 +232,8 @@ def profile_init(
 ) -> ParamVector:
     """Best fixed-change-point GLM over the candidate grid.
 
-    tau_grid holds explicit candidate change points, each strictly inside
-    the x range; None gives the automatic grid, 21 equally spaced
+    tau_grid holds explicit candidate change points, each finite and
+    strictly inside the x range; None gives the automatic grid, 21 equally spaced
     quantiles of x between the 10th and 90th percentile.  Each candidate
     is an ordinary GLM with the hard-indicator regressor.  The sorted
     candidates are taken in blocks of at most 2^14 / n (at least one), so
@@ -234,6 +249,8 @@ def profile_init(
     h = bandwidth(spec.bw, data.n)
     if tau_grid is not None:
         grid = np.asarray(tau_grid, dtype=float)
+        if not np.all(np.isfinite(grid)):
+            raise DataError(f"tau grid candidates must be finite, got {tau_grid}")
         xmin, xmax = data.x.min(), data.x.max()
         if np.any(grid <= xmin) or np.any(grid >= xmax):
             raise DataError("tau grid candidates must lie strictly inside the x range")
@@ -242,7 +259,7 @@ def profile_init(
     grid = np.sort(grid)
     shared = design(data)  # [1, x, z]; the segment column differs per candidate
     q = shared.shape[1]
-    block = max(1, _STACK_ELEMS // data.n)
+    block = rows_per_block(data.n)
     best_q, best_p = -np.inf, None
     for start in range(0, grid.size, block):
         taus = grid[start:start + block]
@@ -269,12 +286,187 @@ def profile_init(
     return ParamVector(beta[0], beta[1], beta[2], tau, tuple(beta[3:]))
 
 
-def _chol_ok(M: np.ndarray) -> bool:
+def _positive_definite(M: np.ndarray) -> np.ndarray:
+    """Per-matrix flags: whether each stacked M[g] has a Cholesky factor."""
     try:
         np.linalg.cholesky(M)
-        return True
+        return np.ones(len(M), dtype=bool)
     except np.linalg.LinAlgError:
-        return False
+        # Rare: a stacked Cholesky fails as a whole; test one by one.
+        ok = np.ones(len(M), dtype=bool)
+        for g in range(len(M)):
+            try:
+                np.linalg.cholesky(M[g])
+            except np.linalg.LinAlgError:
+                ok[g] = False
+        return ok
+
+
+def _newton(spec: ModelSpec, x, y, z, start: np.ndarray, h: float):
+    """Damped Newton ascent of G smoothed objectives in one stacked loop.
+
+    Problem g has the observations x[g], y[g] and z[g] (G x n, G x n and
+    G x n x k, z None without covariates) and starts from row g of the
+    G x (4 + k) start.  Returns (p, q, S, J, Sig, iterations, status)
+    stacked over the problems, status being one of _CONVERGED, _STOPPED
+    (no ascent, indefinite curvature at a stationary point, or the
+    iteration limit), _NUMERIC, _NO_RIDGE, _SINGULAR and _BOUNDARY.  A
+    problem leaves the loop at its own stop; the rows still running are
+    compacted only then.  Every model evaluation is one stacked pass whose
+    rows match a stack of one bit for bit, so a problem's result does not
+    depend on its block.
+    """
+    G, n = x.shape
+    n_par = start.shape[1]
+    eye = np.eye(n_par)
+    part = np.partition(x, (1, n - 2), axis=1)
+    lo, hi = part[:, 1], part[:, n - 2]
+    p = start.copy()
+    p[:, 3] = np.clip(p[:, 3], lo, hi)
+    q, S, J, Sig, ok = evaluate_rows(spec, p, x, y, z, h)
+    iterations = np.zeros(G, dtype=int)
+    status = np.where(ok, _STOPPED, _NUMERIC)
+    # Row i of the running arrays (suffix r) is problem rows[i]; they are
+    # views while every problem runs.
+    rows = np.flatnonzero(ok)
+    sel = slice(None) if rows.size == G else rows
+    xr, yr, lor, hir, pr, qr, Sr, Jr, Sigr = (
+        v[sel] for v in (x, y, lo, hi, p, q, S, J, Sig))
+    zr = None if z is None else z[sel]
+    for it in range(1, _NEWTON_MAX_ITER + 1):
+        if rows.size == 0:
+            break
+        m = rows.size
+        out = np.full(m, -1)  # the status of each row leaving after this iteration
+        # Newton matrix: the negative Hessian if positive definite, else
+        # the always-PSD Gram matrix with escalating ridge (Fisher
+        # scoring); J with a small ridge stays indefinite when the change
+        # point sits in a smoothing window.
+        M = Jr.copy()
+        left = np.flatnonzero(~_positive_definite(Jr))
+        if left.size:
+            scale = np.maximum(np.trace(Sigr[left], axis1=1, axis2=2) / n_par, 1.0)
+            for lam in 10.0 ** np.arange(-10, -1):
+                cand = Sigr[left] + (lam * scale)[:, None, None] * eye
+                good = _positive_definite(cand)
+                M[left[good]] = cand[good]
+                left, scale = left[~good], scale[~good]
+                if left.size == 0:
+                    break
+            M[left] = eye  # placeholder; these rows leave unsolved
+            out[left] = _NO_RIDGE
+        step, singular = _solve(M, Sr)
+        # A Cholesky-passing M can still meet an exact zero LU pivot when
+        # the design is rank deficient (two distinct x values); a step that
+        # overflows counts as singular too.
+        singular |= ~np.isfinite(step).all(axis=1)
+        out[singular & (out < 0)] = _SINGULAR
+        grad_ok = np.abs(Sr).max(axis=1) < _TOL * n
+        step_norm = np.linalg.norm(step, axis=1)
+        # Step halving: a trial is accepted only if the objective strictly
+        # increases.  A stationary row stops halving once the trial step is
+        # below _TOL, since any step accepted from there ends the fit.
+        trial = pr.copy()
+        accepted = np.zeros(m, dtype=bool)
+        search = out < 0
+        frac = 1.0
+        for _ in range(_STEP_HALVING_MAX):
+            search &= ~(grad_ok & (frac * step_norm < _TOL))
+            s = np.flatnonzero(search)
+            if s.size == 0:
+                break
+            sel = slice(None) if s.size == m else s  # a view when every row searches
+            t = pr[sel] + frac * step[sel]
+            t[:, 3] = np.clip(t[:, 3], lor[sel], hir[sel])
+            t[:, 2] = np.where(np.abs(t[:, 2]) < _BETA2_EPS,
+                               np.where(t[:, 2] < 0, -_BETA2_EPS, _BETA2_EPS), t[:, 2])
+            # A trial that overflows reads -inf: rejected like one that descends.
+            up = objective_rows(spec, t, xr[sel], yr[sel],
+                                None if zr is None else zr[sel], h) > qr[sel]
+            trial[s[up]] = t[up]
+            accepted[s[up]] = True
+            search[s[up]] = False
+            frac /= 2.0
+        taken = np.zeros(m)
+        acc = np.flatnonzero(accepted)
+        if acc.size:
+            sel = slice(None) if acc.size == m else acc
+            taken[acc] = np.linalg.norm(trial[acc] - pr[acc], axis=1)
+            pr[acc] = trial[acc]
+            qr[acc], Sr[acc], Jr[acc], Sigr[acc], ok = evaluate_rows(
+                spec, pr[sel], xr[sel], yr[sel], None if zr is None else zr[sel], h)
+            out[acc[~ok]] = _NUMERIC
+        # Stationary: a maximum only if the curvature is negative definite.
+        stat = np.flatnonzero(grad_ok & (taken < _TOL) & (out < 0))
+        if stat.size:
+            conv = _positive_definite(Jr[stat])
+            edge = (pr[stat, 3] <= lor[stat]) | (pr[stat, 3] >= hir[stat])
+            out[stat] = np.where(conv, np.where(edge, _BOUNDARY, _CONVERGED), _STOPPED)
+        # No ascent possible and gradient still large: report partial.
+        out[~accepted & (out < 0)] = _STOPPED
+        leave = out >= 0
+        if leave.any():
+            g, keep = rows[leave], ~leave
+            status[g], iterations[g] = out[leave], it
+            p[g], q[g], S[g], J[g], Sig[g] = pr[leave], qr[leave], Sr[leave], Jr[leave], Sigr[leave]
+            rows = rows[keep]
+            xr, yr, lor, hir, pr, qr, Sr, Jr, Sigr = (
+                v[keep] for v in (xr, yr, lor, hir, pr, qr, Sr, Jr, Sigr))
+            zr = None if zr is None else zr[keep]
+    if rows.size:
+        iterations[rows] = _NEWTON_MAX_ITER
+        p[rows], q[rows], S[rows], J[rows], Sig[rows] = pr, qr, Sr, Jr, Sigr
+    return p, q, S, J, Sig, iterations, status
+
+
+def rows_per_block(n: int) -> int:
+    """Problems of n observations that one stacked pass takes at a time.
+
+    At most 2^14 / n and at least one, so that no stacked problem x
+    observation array exceeds 2^14 values (128 KiB): 32 problems at
+    n = 500, one from n = 8193 on.
+    """
+    return max(1, _STACK_ELEMS // n)
+
+
+def fit_stack(spec: ModelSpec, x, y, z, starts) -> list:
+    """fit() of G problems of the same size, from given starts, in one
+    stacked Newton loop.
+
+    Problem g has the observations x[g], y[g] and z[g] (G x n, G x n and
+    G x n x k arrays; z is None without covariates) and starts from
+    starts[g], a ParamVector.  The caller checks the responses' support
+    and bounds G, normally by rows_per_block(n).  Returns one entry per
+    problem, in order: its FitResult, or the KinkfitError that fit would
+    raise for it.  Each entry is bit for bit what fit returns for that
+    problem alone.
+    """
+    h = bandwidth(spec.bw, x.shape[1])
+    start = np.array([s.to_array() for s in starts])
+    p, q, S, J, Sig, iterations, status = _newton(spec, x, y, z, start, h)
+    results = []
+    for g, st in enumerate(status):
+        if st == _NUMERIC:
+            results.append(NumericError("non-finite objective, score or negative Hessian"))
+        elif st == _NO_RIDGE:
+            results.append(ConvergenceError("curvature matrix not repairable by ridge"))
+        elif st == _SINGULAR:
+            results.append(ConvergenceError("singular Newton system"))
+        elif st == _BOUNDARY:
+            results.append(BoundaryError(
+                f"change point estimate pinned at the covariate boundary ({p[g, 3]:.6g})"))
+        else:
+            results.append(FitResult(
+                params=ParamVector.from_array(p[g]),
+                objective_value=float(q[g]),
+                iterations=int(iterations[g]),
+                converged=bool(st == _CONVERGED),
+                grad_norm=float(np.max(np.abs(S[g]))),
+                h_used=h,
+                neg_hessian_at_opt=J[g],
+                score_cov_at_opt=Sig[g],
+            ))
+    return results
 
 
 def fit(
@@ -289,92 +481,20 @@ def fit(
     Starts from profile_init over tau_grid unless an explicit warm start
     is given, which leaves tau_grid unused.  The change point is projected
     into [x(2), x(n-1)] after every step.  A step is accepted only if the
-    objective strictly increases (halving up to 30 times); convergence
-    requires a small gradient, a small accepted step, and a positive
-    definite negative Hessian.  The fit gives up after 100 iterations.
+    objective strictly increases (halving up to 30 times, and no further
+    once the gradient is small and the trial step below the tolerance);
+    convergence requires a small gradient, a small accepted step, and a
+    positive definite negative Hessian.  The fit gives up after 100
+    iterations.  This is fit_stack on one problem.
     """
-    h = bandwidth(spec.bw, data.n)
     if init is None:
         init = profile_init(spec, data, tau_grid)
     data.check_family(spec.family)
-    xs = np.sort(data.x)
-    lo, hi = xs[1], xs[-2]
-    p = init.to_array()
-    p[3] = np.clip(p[3], lo, hi)
-    n_par = spec.n_params
-    q, S, J, Sig = evaluate(spec, ParamVector.from_array(p), data, h)
-    converged = False
-    it = 0
-    for it in range(1, _NEWTON_MAX_ITER + 1):
-        if _chol_ok(J):
-            M = J
-        else:
-            # Fisher-scoring fallback with ridge escalation; J with a
-            # small ridge stays indefinite when the change point sits in
-            # a smoothing window, but the Gram matrix is PSD.
-            scale = max(np.trace(Sig) / n_par, 1.0)
-            M = None
-            for lam in 10.0 ** np.arange(-10, -1):
-                cand = Sig + lam * scale * np.eye(n_par)
-                if _chol_ok(cand):
-                    M = cand
-                    break
-            if M is None:
-                raise ConvergenceError("curvature matrix not repairable by ridge")
-        try:
-            step = np.linalg.solve(M, S)
-        except np.linalg.LinAlgError:
-            # M passed Cholesky, yet LU can still meet an exact zero pivot
-            # when the design is rank deficient (two distinct x values).
-            raise ConvergenceError("singular Newton system") from None
-        grad_ok = np.max(np.abs(S)) < _TOL * data.n
-        step_norm = np.linalg.norm(step)
-        frac = 1.0
-        accepted = False
-        for _ in range(_STEP_HALVING_MAX):
-            if grad_ok and frac * step_norm < _TOL:
-                # Stationary already: any step accepted from here on is
-                # shorter than _TOL, so the fit ends either way.
-                break
-            trial = p + frac * step
-            trial[3] = np.clip(trial[3], lo, hi)
-            if abs(trial[2]) < _BETA2_EPS:
-                trial[2] = np.sign(trial[2] or 1.0) * _BETA2_EPS
-            try:
-                q_trial = objective(spec, ParamVector.from_array(trial), data, h)
-            except NumericError:
-                # A trial that overflows is rejected like one that descends.
-                q_trial = -np.inf
-            if q_trial > q:
-                accepted = True
-                break
-            frac /= 2.0
-        taken = 0.0
-        if accepted:
-            taken = np.linalg.norm(trial - p)
-            p = trial
-            q, S, J, Sig = evaluate(spec, ParamVector.from_array(p), data, h)
-        if grad_ok and taken < _TOL:
-            # Stationary; a maximum only if the curvature is negative definite.
-            converged = _chol_ok(J)
-            if converged and (p[3] <= lo or p[3] >= hi):
-                raise BoundaryError(
-                    f"change point estimate pinned at the covariate boundary ({p[3]:.6g})"
-                )
-            break
-        if not accepted:
-            # No ascent possible and gradient still large: report partial.
-            break
-    return FitResult(
-        params=ParamVector.from_array(p),
-        objective_value=q,
-        iterations=it,
-        converged=converged,
-        grad_norm=float(np.max(np.abs(S))),
-        h_used=h,
-        neg_hessian_at_opt=J,
-        score_cov_at_opt=Sig,
-    )
+    z = None if data.z is None else data.z[None]
+    result = fit_stack(spec, data.x[None], data.y[None], z, [init])[0]
+    if isinstance(result, KinkfitError):
+        raise result
+    return result
 
 
 def fit_beta_given_tau(spec: ModelSpec, data: Dataset, tau: float, h: float) -> np.ndarray:

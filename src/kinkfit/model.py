@@ -34,7 +34,9 @@ __all__ = [
     "design",
     "objective",
     "profile_objective",
+    "objective_rows",
     "evaluate",
+    "evaluate_rows",
 ]
 
 
@@ -200,35 +202,48 @@ def design(data: Dataset, *segment_cols) -> np.ndarray:
     return np.column_stack(cols)
 
 
-def _theta(spec: ModelSpec, coef: np.ndarray, tau, data: Dataset, h: float):
-    """theta_i for every observation, with the segment term and its two
-    tau-derivatives it was built from.
+def _theta(spec: ModelSpec, coef: np.ndarray, tau, x, z, h: float):
+    """theta for G rows, with the segment term and its two tau-derivatives
+    it was built from.
 
-    coef holds (beta0, beta1, beta2, gamma...) along its last axis.  A
-    G x (3 + k) coef with a G x 1 column tau gives G x n arrays, one row
-    per candidate.
+    Row g of the G x (3 + k) coef holds (beta0, beta1, beta2, gamma...) and
+    tau is a G x 1 column.  x and z are either shared by every row (n and
+    n x k) or given per row (G x n and G x n x k); z is None without
+    covariates.  Every returned array is G x n.
     """
-    n_coef = 3 + spec.n_covariates
-    if coef.shape[-1] != n_coef or data.k != spec.n_covariates:
+    k = 0 if z is None else z.shape[-1]
+    if coef.shape[-1] != 3 + spec.n_covariates or k != spec.n_covariates:
         raise DomainError(
             f"covariate count mismatch: spec expects {spec.n_covariates}, "
-            f"params carry {coef.shape[-1] - 3}, data carries {data.k}"
+            f"params carry {coef.shape[-1] - 3}, data carries {k}"
         )
-    seg, d_tau, d_tau2 = segment_term(spec.form, data.x, tau, h, spec.kernel)
-    theta = coef[..., 0:1] + coef[..., 1:2] * data.x + coef[..., 2:3] * seg
-    if spec.n_covariates:
-        theta = theta + (data.z @ coef[..., 3:].T).T
+    seg, d_tau, d_tau2 = segment_term(spec.form, x, tau, h, spec.kernel)
+    theta = coef[:, 0:1] + coef[:, 1:2] * x + coef[:, 2:3] * seg
+    if k and z.ndim == 3:
+        theta = theta + np.matmul(z, coef[:, 3:, None])[:, :, 0]
+    elif k:
+        theta = theta + (z @ coef[:, 3:].T).T
     return theta, seg, d_tau, d_tau2
 
 
-def _coef(params: ParamVector) -> np.ndarray:
-    return np.array([params.beta0, params.beta1, params.beta2, *params.gamma])
+def _split(params: np.ndarray):
+    """(coef, tau column) of a G x (4 + k) stack of parameter vectors."""
+    return np.delete(params, 3, axis=1), params[:, 3:4]
+
+
+def _rows(data: Dataset):
+    """The dataset as a stack of one row: (x, y, z) with a leading axis."""
+    return data.x[None], data.y[None], None if data.z is None else data.z[None]
+
+
+def _terms(family: Family, theta: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return y * theta - families.cumulant(family, theta)
 
 
 def _loglik(family: Family, theta: np.ndarray, y: np.ndarray):
     """Log-likelihood sums over the last axis of theta; the one check that
     theta and b(theta) are finite."""
-    terms = y * theta - families.cumulant(family, theta)
+    terms = _terms(family, theta, y)
     bad = ~np.isfinite(terms)
     if bad.any():
         idx = int(np.nonzero(bad)[-1][0])
@@ -241,8 +256,9 @@ def _loglik(family: Family, theta: np.ndarray, y: np.ndarray):
 def objective(spec: ModelSpec, params: ParamVector, data: Dataset, h: float) -> float:
     """Smoothed log-likelihood sum(y * theta - b(theta)), dropping the
     parameter-free log c(y) term."""
-    theta = _theta(spec, _coef(params), params.tau, data, h)[0]
-    return float(_loglik(spec.family, theta, data.y))
+    x, y, z = _rows(data)
+    theta = _theta(spec, *_split(params.to_array()[None]), x, z, h)[0]
+    return float(_loglik(spec.family, theta, y)[0])
 
 
 def profile_objective(
@@ -255,8 +271,56 @@ def profile_objective(
     the caller bounds G.  Raises NumericError if any candidate's
     log-likelihood is not finite.
     """
-    theta = _theta(spec, coef, np.asarray(taus, dtype=float)[:, None], data, h)[0]
+    tau = np.asarray(taus, dtype=float)[:, None]
+    theta = _theta(spec, coef, tau, data.x, data.z, h)[0]
     return _loglik(spec.family, theta, data.y)
+
+
+def objective_rows(spec: ModelSpec, params: np.ndarray, x, y, z, h: float) -> np.ndarray:
+    """objective() of G problems of the same size in one pass.
+
+    Row g of the G x (4 + k) params is evaluated on the observations x[g],
+    y[g] and z[g] (G x n, G x n and G x n x k; z is None without
+    covariates).  A row whose log-likelihood is not finite reads -inf
+    instead of raising.  Works on G x n arrays; the caller bounds G.
+    """
+    coef, tau = _split(params)
+    q = _terms(spec.family, _theta(spec, coef, tau, x, z, h)[0], y).sum(axis=-1)
+    return np.where(np.isfinite(q), q, -np.inf)
+
+
+def evaluate_rows(spec: ModelSpec, params: np.ndarray, x, y, z, h: float):
+    """evaluate() of G problems of the same size in one pass.
+
+    Rows and observations as in objective_rows.  Returns (Q, S, J, Sigma,
+    ok), each stacked over the G rows; ok[g] is False where row g's
+    objective, score or negative Hessian is not finite, and that row's
+    values mean nothing.  Every sum over observations is a matrix product,
+    so each row's numbers are those of a stack of one.  Works on
+    G x n x (4 + k) arrays; the caller bounds G.
+    """
+    coef, tau = _split(params)
+    theta, seg, d_tau, d_tau2 = _theta(spec, coef, tau, x, z, h)
+    q = _terms(spec.family, theta, y).sum(axis=-1)
+    b2 = coef[:, 2:3]
+    D = np.empty(theta.shape + (params.shape[1],))
+    D[:, :, 0] = 1.0
+    D[:, :, 1] = x
+    D[:, :, 2] = seg
+    D[:, :, 3] = b2 * d_tau
+    if z is not None:
+        D[:, :, 4:] = z
+    mu, w = families.mean_variance(spec.family, theta)
+    resid = (y - mu)[:, None, :]
+    Dt = D.transpose(0, 2, 1)
+    S = np.matmul(Dt, resid.transpose(0, 2, 1))[:, :, 0]
+    Sig = np.matmul((D * w[:, :, None]).transpose(0, 2, 1), D)
+    J = Sig.copy()
+    J[:, 2, 3] -= np.matmul(resid, d_tau[:, :, None])[:, 0, 0]
+    J[:, 3, 2] = J[:, 2, 3]
+    J[:, 3, 3] -= np.matmul(resid, (b2 * d_tau2)[:, :, None])[:, 0, 0]
+    ok = np.isfinite(q) & np.isfinite(S).all(axis=1) & np.isfinite(J).all(axis=(1, 2))
+    return q, S, J, Sig, ok
 
 
 def evaluate(spec: ModelSpec, params: ParamVector, data: Dataset, h: float):
@@ -270,17 +334,8 @@ def evaluate(spec: ModelSpec, params: ParamVector, data: Dataset, h: float):
     residual terms of the (beta2, tau) and (tau, tau) entries, the two
     places where theta is nonlinear in the parameters.
     """
-    theta, seg, d_tau, d_tau2 = _theta(spec, _coef(params), params.tau, data, h)
-    q = float(_loglik(spec.family, theta, data.y))
-    D = design(data, seg, params.beta2 * d_tau)
-    mu, w = families.mean_variance(spec.family, theta)
-    resid = data.y - mu
-    S = D.T @ resid
-    Sig = (D * w[:, None]).T @ D
-    J = Sig.copy()
-    J[2, 3] -= float(resid @ d_tau)
-    J[3, 2] = J[2, 3]
-    J[3, 3] -= float(resid @ (params.beta2 * d_tau2))
-    if not (np.all(np.isfinite(S)) and np.all(np.isfinite(J))):
+    q, S, J, Sig, ok = evaluate_rows(spec, params.to_array()[None], *_rows(data), h)
+    if not ok[0]:
+        objective(spec, params, data, h)  # names a non-finite contribution
         raise NumericError("non-finite score or negative Hessian")
-    return q, S, J, Sig
+    return float(q[0]), S[0], J[0], Sig[0]

@@ -14,13 +14,15 @@ import numpy as np
 
 from . import families
 from .errors import ConvergenceError, DataError, DomainError, KinkfitError
-from .estimator import fit
+from .estimator import FitResult, fit_stack, profile_init, rows_per_block
 from .families import parse_family
 from .inference import run_inference
 from .kernels import parse_bandwidth, parse_kernel
 from .model import Dataset, ModelSpec, ParamVector, indicator_segment, parse_form
 
-__all__ = ["SimScenario", "SimReport", "generate", "run", "qq_export", "load_scenario"]
+__all__ = [
+    "SimScenario", "SimReport", "generate", "run", "qq_export", "load_scenario", "parse_number",
+]
 
 PARAM_BASE = ("beta0", "beta1", "beta2", "tau")
 
@@ -128,41 +130,62 @@ def generate(scenario: SimScenario, replicate_index: int) -> Dataset:
 def run(scenario: SimScenario) -> SimReport:
     """Fit every replicate and aggregate.
 
-    Failed fits (a KinkfitError or non-convergence) are excluded from the
-    moments and counted; more than 5% of them flags the report degraded.
+    Replicates are fit in blocks of estimator.rows_per_block(n) (32 at
+    n = 500): each gets its own profile_init, then one fit_stack call runs
+    the Newton ascent of the whole block, and inference follows replicate
+    by replicate.  Results are those of fitting each replicate alone, in
+    replicate order.  Failed fits (a KinkfitError or non-convergence) are
+    excluded from the moments and counted; more than 5% of them flags the
+    report degraded.
     """
     spec = scenario.model_spec()
     truth = scenario.true_params.to_array()
     names = _param_names(len(scenario.true_params.gamma))
     ests, ses, ses_delta, cover, cover_boot = [], [], [], [], []
     failed = 0
-    for r in range(scenario.replications):
-        data = generate(scenario, r)
-        try:
-            fr = fit(spec, data, tau_grid=scenario.tau_grid)
-            if not fr.converged:
+    block = rows_per_block(scenario.n)
+    for first in range(0, scenario.replications, block):
+        reps, datasets, starts = [], [], []
+        for r in range(first, min(first + block, scenario.replications)):
+            data = generate(scenario, r)
+            try:
+                starts.append(profile_init(spec, data, scenario.tau_grid))
+            except KinkfitError:
                 failed += 1
                 continue
-            inf = run_inference(
-                spec,
-                data,
-                fr,
-                level=scenario.level,
-                bootstrap_B=scenario.bootstrap_B,
-                seed=[scenario.seed, r, 1],
-            )
-        except KinkfitError:
-            failed += 1
+            reps.append(r)
+            datasets.append(data)
+        if not reps:
             continue
-        est = fr.params.to_array()
-        ests.append(est)
-        ses.append(inf.se_sandwich)
-        ses_delta.append(inf.se_delta if inf.se_delta is not None else np.full_like(est, np.nan))
-        cover.append((inf.ci_normal[:, 0] <= truth) & (truth <= inf.ci_normal[:, 1]))
-        if inf.ci_bootstrap is not None:
-            cover_boot.append(
-                (inf.ci_bootstrap[:, 0] <= truth) & (truth <= inf.ci_bootstrap[:, 1])
-            )
+        z = None if spec.n_covariates == 0 else np.stack([d.z for d in datasets])
+        fits = fit_stack(spec, np.stack([d.x for d in datasets]),
+                         np.stack([d.y for d in datasets]), z, starts)
+        for r, data, fr in zip(reps, datasets, fits):
+            if not (isinstance(fr, FitResult) and fr.converged):
+                failed += 1
+                continue
+            try:
+                inf = run_inference(
+                    spec,
+                    data,
+                    fr,
+                    level=scenario.level,
+                    bootstrap_B=scenario.bootstrap_B,
+                    seed=[scenario.seed, r, 1],
+                )
+            except KinkfitError:
+                failed += 1
+                continue
+            est = fr.params.to_array()
+            ests.append(est)
+            ses.append(inf.se_sandwich)
+            ses_delta.append(
+                inf.se_delta if inf.se_delta is not None else np.full_like(est, np.nan))
+            cover.append((inf.ci_normal[:, 0] <= truth) & (truth <= inf.ci_normal[:, 1]))
+            if inf.ci_bootstrap is not None:
+                cover_boot.append(
+                    (inf.ci_bootstrap[:, 0] <= truth) & (truth <= inf.ci_bootstrap[:, 1])
+                )
     if not ests:
         raise ConvergenceError("every replicate failed to fit")
     E = np.asarray(ests)
@@ -211,6 +234,15 @@ def qq_export(report: SimReport):
     return rows
 
 
+def parse_number(label: str, token: str, kind=float):
+    """token converted by kind (float, int or str); a DataError naming
+    label and token when it is not a number of that kind."""
+    try:
+        return kind(token)
+    except ValueError:
+        raise DataError(f"{label}: not a number: {token!r}") from None
+
+
 _SCENARIO_KEYS = {
     "family": str,
     "form": str,
@@ -244,23 +276,27 @@ def load_scenario(path) -> SimScenario:
             key, val = (part.strip() for part in line.split("=", 1))
             kv[key] = val
     kv.pop("schema_version", None)
+
+    def number(key, token, kind=float):
+        return parse_number(f"{path}: scenario key {key!r}", token, kind)
+
     try:
         tp = ParamVector(
-            float(kv.pop("beta0")),
-            float(kv.pop("beta1")),
-            float(kv.pop("beta2")),
-            float(kv.pop("tau")),
-            tuple(float(g) for g in kv.pop("gamma", "").split(",") if g.strip()),
+            number("beta0", kv.pop("beta0")),
+            number("beta1", kv.pop("beta1")),
+            number("beta2", kv.pop("beta2")),
+            number("tau", kv.pop("tau")),
+            tuple(number("gamma", g) for g in kv.pop("gamma", "").split(",") if g.strip()),
         )
     except KeyError as exc:
         raise DataError(f"scenario missing required key {exc}") from None
     kwargs = {}
     if "tau_grid" in kv:
-        kwargs["tau_grid"] = tuple(float(t) for t in kv.pop("tau_grid").split(","))
+        kwargs["tau_grid"] = tuple(number("tau_grid", t) for t in kv.pop("tau_grid").split(","))
     for key, val in kv.items():
         if key not in _SCENARIO_KEYS:
             raise DataError(f"unknown scenario key {key!r}")
-        kwargs[key] = _SCENARIO_KEYS[key](val)
+        kwargs[key] = number(key, val, _SCENARIO_KEYS[key])
     try:
         return SimScenario(true_params=tp, **kwargs)
     except TypeError as exc:

@@ -18,7 +18,7 @@ from kinkfit.cli import (
     main,
 )
 from kinkfit.errors import DataError
-from kinkfit.estimator import fit
+from kinkfit.estimator import fit, fit_stack
 from kinkfit.families import Family
 from kinkfit.model import ParamVector
 
@@ -200,16 +200,50 @@ def test_simulate_with_every_replicate_failed_is_a_fit_error(failure, capsys, mo
     from kinkfit import simulate
     from kinkfit.errors import ConvergenceError
 
-    def failing_fit(*args, **kwargs):
+    def failing_fit_stack(*args, **kwargs):
+        # Each replicate's entry is the error fit would raise, or a
+        # non-converged result.
         if failure == "raises":
-            raise ConvergenceError("curvature matrix not repairable by ridge")
-        return dataclasses.replace(fit(*args, **kwargs), converged=False)
+            return [ConvergenceError("curvature matrix not repairable by ridge")
+                    for _ in args[4]]
+        return [dataclasses.replace(r, converged=False) for r in fit_stack(*args, **kwargs)]
 
-    monkeypatch.setattr(simulate, "fit", failing_fit)
+    monkeypatch.setattr(simulate, "fit_stack", failing_fit_stack)
     scen = pathlib.Path(__file__).resolve().parent.parent / "scenarios" / "smoke.scenario"
     assert main(["simulate", "--scenario", str(scen)]) == EXIT_NONCONV
     err = json.loads(capsys.readouterr().err)
     assert err == {"error": "fit-error", "message": "every replicate failed to fit"}
+
+
+@pytest.mark.parametrize("grid, token", [("0.1,abc", "'abc'"), ("0.1,nan", "nan")])
+def test_bad_tau_grid_is_a_data_error(grid, token, normal_csv, capsys):
+    # A non-numeric candidate used to escape as a raw ValueError; a NaN
+    # passed the interior check and was echoed as invalid JSON.
+    code = main(["fit", "--input", str(normal_csv), "--y-col", "y", "--x-col", "x",
+                 f"--tau-grid={grid}"])
+    assert code == EXIT_DATA
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] == "data-error"
+    assert "tau" in err["message"] and token in err["message"]
+
+
+@pytest.mark.parametrize("edit, key, token", [
+    (("n = 200", "n = abc"), "'n'", "'abc'"),
+    (("seed = 7", "seed = 7\ntau_grid = 0.1, x"), "'tau_grid'", "' x'"),
+])
+def test_non_numeric_scenario_value_is_a_data_error(edit, key, token, tmp_path, capsys):
+    import pathlib
+    smoke = pathlib.Path(__file__).resolve().parent.parent / "scenarios" / "smoke.scenario"
+    scen = tmp_path / "bad.scenario"
+    scen.write_text(smoke.read_text().replace(*edit))
+    assert main(["simulate", "--scenario", str(scen)]) == EXIT_DATA
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] == "data-error"
+    assert key in err["message"] and token in err["message"]
 
 
 def test_simulate_seed_override_changes_results(tmp_path, capsys):

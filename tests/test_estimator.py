@@ -67,6 +67,15 @@ def test_tau_grid_must_be_interior():
         profile_init(spec, data, tau_grid=(data.x.min(), 0.5))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_tau_grid_must_be_finite(bad):
+    # NaN fails both sides of the interior check, so it needs its own.
+    spec = make_spec()
+    data = make_data(spec, n=100, seed=4)
+    with pytest.raises(DataError, match="finite"):
+        profile_init(spec, data, tau_grid=(0.1, bad))
+
+
 def test_fit_matches_indicator_glm_at_tiny_bandwidth():
     # with h ~ 1e-10 and tau frozen between two design points, the smoothed
     # fit and the hard-indicator GLM are the same problem
