@@ -233,12 +233,13 @@ def profile_init(
     """Best fixed-change-point GLM over the candidate grid.
 
     tau_grid holds explicit candidate change points, each finite and
-    strictly inside the x range; None gives the automatic grid, 21 equally spaced
-    quantiles of x between the 10th and 90th percentile.  Each candidate
-    is an ordinary GLM with the hard-indicator regressor.  The sorted
-    candidates are taken in blocks of at most 2^14 / n (at least one), so
-    that no stacked candidate x observation array exceeds 2^14 values; at
-    n = 500 the 21-point automatic grid is one block.  A block is fit by
+    strictly inside the x range; None gives the automatic grid, 21
+    equally spaced quantiles of x between the 10th and 90th percentile.
+    Each candidate is an ordinary GLM with the hard-indicator regressor.
+    The sorted candidates are taken in blocks of rows_per_block(n), at
+    most 2^14 / n and at least one, so that no stacked candidate x
+    observation array exceeds 2^14 values; at n = 500 the 21-point
+    automatic grid is one block.  A block is fit by
     one stacked IRLS, and its converged candidates are scored by one
     vectorized smoothed-objective pass.  A candidate whose IRLS fails
     (singular, diverged or not converged) is dropped alone.  The winner is
@@ -292,7 +293,8 @@ def _positive_definite(M: np.ndarray) -> np.ndarray:
         np.linalg.cholesky(M)
         return np.ones(len(M), dtype=bool)
     except np.linalg.LinAlgError:
-        # Rare: a stacked Cholesky fails as a whole; test one by one.
+        # A stacked Cholesky fails as a whole if one matrix fails (an
+        # indefinite J is routine); test them one by one.
         ok = np.ones(len(M), dtype=bool)
         for g in range(len(M)):
             try:
@@ -408,7 +410,8 @@ def _newton(spec: ModelSpec, x, y, z, start: np.ndarray, h: float):
         if leave.any():
             g, keep = rows[leave], ~leave
             status[g], iterations[g] = out[leave], it
-            p[g], q[g], S[g], J[g], Sig[g] = pr[leave], qr[leave], Sr[leave], Jr[leave], Sigr[leave]
+            p[g], q[g], S[g], J[g], Sig[g] = (
+                v[leave] for v in (pr, qr, Sr, Jr, Sigr))
             rows = rows[keep]
             xr, yr, lor, hir, pr, qr, Sr, Jr, Sigr = (
                 v[keep] for v in (xr, yr, lor, hir, pr, qr, Sr, Jr, Sigr))
