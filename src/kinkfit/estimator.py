@@ -12,8 +12,8 @@ matrix (Fisher scoring) with ridge escalation.
 The Newton ascent is one stacked loop over G problems of the same size
 (_newton): each problem takes its own steps, halvings and stop, and
 leaves the loop when it stops.  fit is its one-problem case; fit_stack
-runs a block of problems, such as the replicates of a Monte Carlo study
-or the resamples of a bootstrap, at once.  A problem's result does not
+runs a block of problems, such as the replicates of a Monte Carlo study,
+at once.  A problem's result does not
 depend on the block it runs in.
 
 A one-step linearized refit is also provided: at a frozen working change
@@ -344,9 +344,10 @@ def _newton(spec: ModelSpec, x, y, z, start: np.ndarray, h: float):
         # the always-PSD Gram matrix with escalating ridge (Fisher
         # scoring); J with a small ridge stays indefinite when the change
         # point sits in a smoothing window.
-        M = Jr.copy()
-        left = np.flatnonzero(~_positive_definite(Jr))
-        if left.size:
+        M = Jr
+        pd = _positive_definite(Jr)
+        if not pd.all():
+            M, left = Jr.copy(), np.flatnonzero(~pd)
             scale = np.maximum(np.trace(Sigr[left], axis1=1, axis2=2) / n_par, 1.0)
             for lam in 10.0 ** np.arange(-10, -1):
                 cand = Sigr[left] + (lam * scale)[:, None, None] * eye
@@ -362,42 +363,49 @@ def _newton(spec: ModelSpec, x, y, z, start: np.ndarray, h: float):
         # the design is rank deficient (two distinct x values); a step that
         # overflows counts as singular too.
         singular |= ~np.isfinite(step).all(axis=1)
-        out[singular & (out < 0)] = _SINGULAR
+        if singular.any():
+            out[singular & (out < 0)] = _SINGULAR
         grad_ok = np.abs(Sr).max(axis=1) < _TOL * n
-        step_norm = np.linalg.norm(step, axis=1)
+        # A stationary row stops halving once frac * limit < _TOL; the
+        # others have no such limit.  The norms are np.linalg.norm's sums.
+        limit = np.where(grad_ok, np.sqrt((step * step).sum(axis=1)), np.inf)
         # Step halving: a trial is accepted only if the objective strictly
-        # increases.  A stationary row stops halving once the trial step is
-        # below _TOL, since any step accepted from there ends the fit.
-        trial = pr.copy()
+        # increases.  The full step is always tried; a stationary row stops
+        # halving once the trial step is below _TOL, since any step
+        # accepted from there ends the fit.
+        trial = np.empty_like(pr)
         accepted = np.zeros(m, dtype=bool)
         search = out < 0
         frac = 1.0
         for _ in range(_STEP_HALVING_MAX):
-            search &= ~(grad_ok & (frac * step_norm < _TOL))
             s = np.flatnonzero(search)
             if s.size == 0:
                 break
             sel = slice(None) if s.size == m else s  # a view when every row searches
             t = pr[sel] + frac * step[sel]
-            t[:, 3] = np.clip(t[:, 3], lor[sel], hir[sel])
-            t[:, 2] = np.where(np.abs(t[:, 2]) < _BETA2_EPS,
-                               np.where(t[:, 2] < 0, -_BETA2_EPS, _BETA2_EPS), t[:, 2])
+            t[:, 3] = np.minimum(np.maximum(t[:, 3], lor[sel]), hir[sel])
+            small = np.abs(t[:, 2]) < _BETA2_EPS
+            if small.any():
+                t[small, 2] = np.where(t[small, 2] < 0, -_BETA2_EPS, _BETA2_EPS)
             # A trial that overflows reads -inf: rejected like one that descends.
             up = objective_rows(spec, t, xr[sel], yr[sel],
                                 None if zr is None else zr[sel], h) > qr[sel]
-            trial[s[up]] = t[up]
-            accepted[s[up]] = True
-            search[s[up]] = False
+            if up.any():
+                su = s[up]
+                trial[su], accepted[su], search[su] = t[up], True, False
             frac /= 2.0
+            search &= frac * limit >= _TOL
         taken = np.zeros(m)
         acc = np.flatnonzero(accepted)
         if acc.size:
             sel = slice(None) if acc.size == m else acc
-            taken[acc] = np.linalg.norm(trial[acc] - pr[acc], axis=1)
-            pr[acc] = trial[acc]
-            qr[acc], Sr[acc], Jr[acc], Sigr[acc], ok = evaluate_rows(
+            d = trial[sel] - pr[sel]
+            taken[sel] = np.sqrt((d * d).sum(axis=1))
+            pr[sel] = trial[sel]
+            qr[sel], Sr[sel], Jr[sel], Sigr[sel], ok = evaluate_rows(
                 spec, pr[sel], xr[sel], yr[sel], None if zr is None else zr[sel], h)
-            out[acc[~ok]] = _NUMERIC
+            if not ok.all():
+                out[acc[~ok]] = _NUMERIC
         # Stationary: a maximum only if the curvature is negative definite.
         stat = np.flatnonzero(grad_ok & (taken < _TOL) & (out < 0))
         if stat.size:
@@ -485,7 +493,7 @@ def fit(
     is given, which leaves tau_grid unused.  The change point is projected
     into [x(2), x(n-1)] after every step.  A step is accepted only if the
     objective strictly increases (halving up to 30 times, and no further
-    once the gradient is small and the trial step below the tolerance);
+    once the gradient is small and the halved step below the tolerance);
     convergence requires a small gradient, a small accepted step, and a
     positive definite negative Hessian.  The fit gives up after 100
     iterations.  This is fit_stack on one problem.

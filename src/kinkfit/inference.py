@@ -17,7 +17,7 @@ import numpy as np
 from scipy.linalg import lapack
 
 from .errors import BootstrapError, InferenceError, KinkfitError
-from .estimator import FitResult, LinearizedFit, fit, fit_stack, linearized_fit, rows_per_block
+from .estimator import FitResult, LinearizedFit, fit, linearized_fit
 from .model import Dataset, ModelSpec
 
 __all__ = [
@@ -106,14 +106,9 @@ def bootstrap_ci(
     Observations are split at the estimated change point (x <= tau_hat vs
     x > tau_hat) and resampled with replacement within each stratum,
     preserving stratum sizes; resample b draws from the stream
-    (*seed, b).  Each resample is refit with the original estimate as warm
-    start.  The refits run in blocks of estimator.rows_per_block(n)
-    resamples (32 at n = 500, one at n = 10 000), each block one fit_stack
-    call on index rows x[idx], y[idx] and z[idx] of the data, so no
-    Dataset is built per resample.  Every refit equals fit on its resample
-    alone.  Resamples whose refit fails (the KinkfitError that fit would
-    raise) or does not converge are dropped and counted; more than 10%
-    failures aborts.
+    (*seed, b).  Each resample is refit by fit with the original estimate
+    as warm start.  Resamples whose refit raises a KinkfitError or fails
+    to converge are dropped and counted; more than 10% failures aborts.
 
     Returns (intervals (4+k) x 2, reps_used).
     """
@@ -129,26 +124,24 @@ def bootstrap_ci(
             f"stratum too small to resample ({left.size} left, {right.size} right)"
         )
     base = list(seed) if isinstance(seed, (list, tuple)) else [seed]
-    data.check_family(spec.family)
     draws = []
     failed = 0
-    block = rows_per_block(data.n)
-    for first in range(0, B, block):
-        idx = []
-        for b in range(first, min(first + block, B)):
-            rng = np.random.default_rng([*base, b])
-            idx.append(np.concatenate([
-                rng.choice(left, size=left.size, replace=True),
-                rng.choice(right, size=right.size, replace=True),
-            ]))
-        idx = np.array(idx)
-        z = None if data.z is None else data.z[idx]
-        refits = fit_stack(spec, data.x[idx], data.y[idx], z, [fit_result.params] * len(idx))
-        for refit in refits:
-            if isinstance(refit, FitResult) and refit.converged:
-                draws.append(refit.params.to_array())
-            else:
-                failed += 1
+    for b in range(B):
+        rng = np.random.default_rng([*base, b])
+        idx = np.concatenate([
+            rng.choice(left, size=left.size, replace=True),
+            rng.choice(right, size=right.size, replace=True),
+        ])
+        sample = data.take(idx)
+        try:
+            refit = fit(spec, sample, init=fit_result.params)
+        except KinkfitError:
+            failed += 1
+            continue
+        if not refit.converged:
+            failed += 1
+            continue
+        draws.append(refit.params.to_array())
     if failed > 0.10 * B:
         raise BootstrapError(f"{failed}/{B} bootstrap refits failed")
     draws = np.asarray(draws)

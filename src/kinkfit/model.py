@@ -228,7 +228,7 @@ def _theta(spec: ModelSpec, coef: np.ndarray, tau, x, z, h: float):
 
 def _split(params: np.ndarray):
     """(coef, tau column) of a G x (4 + k) stack of parameter vectors."""
-    return np.delete(params, 3, axis=1), params[:, 3:4]
+    return np.concatenate((params[:, :3], params[:, 4:]), axis=1), params[:, 3:4]
 
 
 def _rows(data: Dataset):

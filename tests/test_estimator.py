@@ -184,6 +184,26 @@ def test_fit_accepts_warm_start():
         warm.params.to_array(), cold.params.to_array(), atol=1e-6)
 
 
+def test_stationary_start_still_tries_the_full_step(monkeypatch):
+    # At an optimum the Newton step is shorter than the tolerance.  The
+    # full step is still tried once; only the halvings below the tolerance
+    # are skipped.
+    spec = make_spec()
+    data = make_data(spec, n=300, seed=9)
+    opt = fit(spec, data)
+    trials = []
+    rows = estimator.objective_rows
+
+    def counted(spec, params, *args):
+        trials.append(np.linalg.norm(params - opt.params.to_array()))
+        return rows(spec, params, *args)
+
+    monkeypatch.setattr(estimator, "objective_rows", counted)
+    again = fit(spec, data, init=opt.params)
+    assert again.converged and again.iterations == 1
+    assert len(trials) >= 1 and trials[0] < 1e-5
+
+
 def test_fit_with_covariates_recovers_truth():
     spec = make_spec(n_covariates=2)
     params = ParamVector(2.0, 3.0, -5.0, 0.5, (1.0, -0.7))

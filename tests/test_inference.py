@@ -159,7 +159,7 @@ def test_programming_errors_propagate(monkeypatch):
     def broken(*args, **kwargs):
         raise TypeError("not a kinkfit failure")
 
-    monkeypatch.setattr(inf, "fit_stack", broken)
+    monkeypatch.setattr(inf, "fit", broken)
     with pytest.raises(TypeError):
         bootstrap_ci(spec, data, res, B=200)
     monkeypatch.setattr(inf, "linearized_fit", broken)

@@ -7,11 +7,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from kinkfit import inference
-from kinkfit.errors import KinkfitError
+from kinkfit.errors import KinkfitError, NumericError
 from kinkfit.estimator import FitResult, fit, fit_stack, profile_init, rows_per_block
 from kinkfit.families import Family, sample
-from kinkfit.model import Dataset, ParamVector, indicator_segment
+from kinkfit.model import Dataset, ParamVector, evaluate, indicator_segment
 from kinkfit.simulate import generate, load_scenario
 
 from conftest import make_data, make_spec
@@ -117,26 +116,25 @@ def test_singular_newton_system_in_a_block():
     assert all(entries[g].converged for g in (0, 2, 3))
 
 
-def test_bootstrap_ci_matches_a_loop_over_resamples():
-    sc = load_scenario(SCENARIOS / "table1.scenario")
-    spec = sc.model_spec()
-    data = generate(sc, 2)
-    res = fit(spec, data)
-    B, seed = 200, [4, 2]
-    iv, used = inference.bootstrap_ci(spec, data, res, B, seed=seed)
-    # The same resamples, refit one at a time on Dataset copies.
-    left = np.flatnonzero(data.x <= res.params.tau)
-    right = np.flatnonzero(data.x > res.params.tau)
-    draws = []
-    for b in range(B):
-        rng = np.random.default_rng([*seed, b])
-        idx = np.concatenate([rng.choice(left, size=left.size, replace=True),
-                              rng.choice(right, size=right.size, replace=True)])
-        try:
-            refit = fit(spec, data.take(idx), init=res.params)
-        except KinkfitError:
-            continue
-        if refit.converged:
-            draws.append(refit.params.to_array())
-    assert used == len(draws)
-    np.testing.assert_array_equal(iv, inference._percentile_interval(np.array(draws), 0.95))
+def test_non_finite_curvature_after_an_accepted_step():
+    # Fixed h = 1e-308: (tau, tau) entries of J carry 1/h for every
+    # observation in the kernel window.  Row 1 starts with no observation
+    # in the window, so its start evaluates finite; its first accepted step
+    # projects tau onto x(n-1), where the curvature overflows while the
+    # objective stays finite.  fit alone raises NumericError there.
+    spec = make_spec(bandwidth="fixed:1e-308")
+    truth = ParamVector(0.0, 1.0, -3.0, 0.2)
+    datasets = [make_data(spec, params=truth, n=20, seed=s, x_lo=-0.5, x_hi=0.5)
+                for s in range(3)]
+    bad = ParamVector(0.2, 1.8, -2.3, 0.4)
+    starts = [truth, bad, truth]
+    evaluate(spec, bad, datasets[1], 1e-308)  # finite at the start
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        entries = fit_stack(spec, *stack(datasets), starts)
+        for entry, data, start in zip(entries, datasets, starts):
+            assert_same_as_alone(entry, spec, data, start)
+        with pytest.raises(NumericError):
+            fit(spec, datasets[1], init=bad)
+    assert isinstance(entries[1], NumericError)
+    assert all(isinstance(entries[g], FitResult) for g in (0, 2))
