@@ -13,8 +13,7 @@ The Newton ascent is one stacked loop over G problems of the same size
 (_newton): each problem takes its own steps, halvings and stop, and
 leaves the loop when it stops.  fit is its one-problem case; fit_stack
 runs a block of problems, such as the replicates of a Monte Carlo study,
-at once.  A problem's result does not
-depend on the block it runs in.
+at once.  A problem's result does not depend on the block it runs in.
 
 A one-step linearized refit is also provided: at a frozen working change
 point it turns the model into an ordinary GLM in constructed regressors,
@@ -367,7 +366,8 @@ def _newton(spec: ModelSpec, x, y, z, start: np.ndarray, h: float):
             out[singular & (out < 0)] = _SINGULAR
         grad_ok = np.abs(Sr).max(axis=1) < _TOL * n
         # A stationary row stops halving once frac * limit < _TOL; the
-        # others have no such limit.  The norms are np.linalg.norm's sums.
+        # others have no such limit.  Norms are summed as np.linalg.norm
+        # sums them, so the tests against _TOL see the same bits.
         limit = np.where(grad_ok, np.sqrt((step * step).sum(axis=1)), np.inf)
         # Step halving: a trial is accepted only if the objective strictly
         # increases.  The full step is always tried; a stationary row stops
