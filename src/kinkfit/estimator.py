@@ -243,8 +243,9 @@ def profile_init(
     vectorized smoothed-objective pass.  A candidate whose IRLS fails
     (singular, diverged or not converged) is dropped alone.  The winner is
     the candidate maximizing the smoothed objective, ties going to the
-    smallest candidate.
+    smallest candidate.  Counted data (Dataset.counts) raise DataError.
     """
+    data.require_uncounted("profile_init")
     data.check_family(spec.family)
     h = bandwidth(spec.bw, data.n)
     if tau_grid is not None:
@@ -303,12 +304,37 @@ def _positive_definite(M: np.ndarray) -> np.ndarray:
         return ok
 
 
-def _newton(spec: ModelSpec, x, y, z, start: np.ndarray, h: float):
+def _pick(arrays, sel):
+    """Rows sel of each of the stacked arrays; None stays None."""
+    return tuple(None if v is None else v[sel] for v in arrays)
+
+
+def _second_extremes(x: np.ndarray, c: np.ndarray):
+    """Second smallest and second largest of the observations that the
+    rows of x stand for, counts c, per problem of the G x n stack.
+
+    An extreme value held by two or more observations, through a count of
+    two or more or through tied rows, is its own neighbour; otherwise the
+    neighbour is the nearest other row.  O(n), no sort.
+    """
+    x_lo, x_hi = x.min(axis=1, keepdims=True), x.max(axis=1, keepdims=True)
+    at_lo, at_hi = x == x_lo, x == x_hi
+    lo = np.where((c * at_lo).sum(axis=1) >= 2, x_lo[:, 0],
+                  np.where(at_lo, np.inf, x).min(axis=1))
+    hi = np.where((c * at_hi).sum(axis=1) >= 2, x_hi[:, 0],
+                  np.where(at_hi, -np.inf, x).max(axis=1))
+    return lo, hi
+
+
+def _newton(spec: ModelSpec, x, y, z, c, start: np.ndarray, h: float):
     """Damped Newton ascent of G smoothed objectives in one stacked loop.
 
     Problem g has the observations x[g], y[g] and z[g] (G x n, G x n and
-    G x n x k, z None without covariates) and starts from row g of the
-    G x (4 + k) start.  Returns (p, q, S, J, Sig, iterations, status)
+    G x n x k, z None without covariates), observation i counting c[g, i]
+    times (c None: once each; every row of c sums to the same N), and
+    starts from row g of the G x (4 + k) start.  The gradient tolerance
+    and the change point's bounds x(2) and x(N-1) are those of the N
+    observations, not of the n stored rows.  Returns (p, q, S, J, Sig, iterations, status)
     stacked over the problems, status being one of _CONVERGED, _STOPPED
     (no ascent, indefinite curvature at a stationary point, or the
     iteration limit), _NUMERIC, _NO_RIDGE, _SINGULAR and _BOUNDARY.  A
@@ -320,20 +346,23 @@ def _newton(spec: ModelSpec, x, y, z, start: np.ndarray, h: float):
     G, n = x.shape
     n_par = start.shape[1]
     eye = np.eye(n_par)
-    part = np.partition(x, (1, n - 2), axis=1)
-    lo, hi = part[:, 1], part[:, n - 2]
+    if c is None:
+        part = np.partition(x, (1, n - 2), axis=1)
+        lo, hi = part[:, 1], part[:, n - 2]
+    else:
+        lo, hi = _second_extremes(x, c)
+        n = int(c[0].sum())
     p = start.copy()
     p[:, 3] = np.clip(p[:, 3], lo, hi)
-    q, S, J, Sig, ok = evaluate_rows(spec, p, x, y, z, h)
+    q, S, J, Sig, ok = evaluate_rows(spec, p, x, y, z, h, c)
     iterations = np.zeros(G, dtype=int)
     status = np.where(ok, _STOPPED, _NUMERIC)
     # Row i of the running arrays (suffix r) is problem rows[i]; they are
     # views while every problem runs.
     rows = np.flatnonzero(ok)
     sel = slice(None) if rows.size == G else rows
-    xr, yr, lor, hir, pr, qr, Sr, Jr, Sigr = (
-        v[sel] for v in (x, y, lo, hi, p, q, S, J, Sig))
-    zr = None if z is None else z[sel]
+    obs = _pick((x, y, z, c), sel)  # the running rows' (x, y, z, c)
+    lor, hir, pr, qr, Sr, Jr, Sigr = _pick((lo, hi, p, q, S, J, Sig), sel)
     for it in range(1, _NEWTON_MAX_ITER + 1):
         if rows.size == 0:
             break
@@ -388,8 +417,8 @@ def _newton(spec: ModelSpec, x, y, z, start: np.ndarray, h: float):
             if small.any():
                 t[small, 2] = np.where(t[small, 2] < 0, -_BETA2_EPS, _BETA2_EPS)
             # A trial that overflows reads -inf: rejected like one that descends.
-            up = objective_rows(spec, t, xr[sel], yr[sel],
-                                None if zr is None else zr[sel], h) > qr[sel]
+            xs, ys, zs, cs = _pick(obs, sel)
+            up = objective_rows(spec, t, xs, ys, zs, h, cs) > qr[sel]
             if up.any():
                 su = s[up]
                 trial[su], accepted[su], search[su] = t[up], True, False
@@ -402,8 +431,9 @@ def _newton(spec: ModelSpec, x, y, z, start: np.ndarray, h: float):
             d = trial[sel] - pr[sel]
             taken[sel] = np.sqrt((d * d).sum(axis=1))
             pr[sel] = trial[sel]
+            xs, ys, zs, cs = _pick(obs, sel)
             qr[sel], Sr[sel], Jr[sel], Sigr[sel], ok = evaluate_rows(
-                spec, pr[sel], xr[sel], yr[sel], None if zr is None else zr[sel], h)
+                spec, pr[sel], xs, ys, zs, h, cs)
             if not ok.all():
                 out[acc[~ok]] = _NUMERIC
         # Stationary: a maximum only if the curvature is negative definite.
@@ -421,9 +451,8 @@ def _newton(spec: ModelSpec, x, y, z, start: np.ndarray, h: float):
             p[g], q[g], S[g], J[g], Sig[g] = (
                 v[leave] for v in (pr, qr, Sr, Jr, Sigr))
             rows = rows[keep]
-            xr, yr, lor, hir, pr, qr, Sr, Jr, Sigr = (
-                v[keep] for v in (xr, yr, lor, hir, pr, qr, Sr, Jr, Sigr))
-            zr = None if zr is None else zr[keep]
+            obs = _pick(obs, keep)
+            lor, hir, pr, qr, Sr, Jr, Sigr = _pick((lor, hir, pr, qr, Sr, Jr, Sigr), keep)
     if rows.size:
         iterations[rows] = _NEWTON_MAX_ITER
         p[rows], q[rows], S[rows], J[rows], Sig[rows] = pr, qr, Sr, Jr, Sigr
@@ -440,21 +469,23 @@ def rows_per_block(n: int) -> int:
     return max(1, _STACK_ELEMS // n)
 
 
-def fit_stack(spec: ModelSpec, x, y, z, starts) -> list:
+def fit_stack(spec: ModelSpec, x, y, z, starts, counts=None) -> list:
     """fit() of G problems of the same size, from given starts, in one
     stacked Newton loop.
 
     Problem g has the observations x[g], y[g] and z[g] (G x n, G x n and
     G x n x k arrays; z is None without covariates) and starts from
-    starts[g], a ParamVector.  The caller checks the responses' support
-    and bounds G, normally by rows_per_block(n).  Returns one entry per
-    problem, in order: its FitResult, or the KinkfitError that fit would
-    raise for it.  Each entry is bit for bit what fit returns for that
-    problem alone.
+    starts[g], a ParamVector.  counts is None or the G x n stack of the
+    problems' Dataset.counts; every row of it must then sum to the same
+    number of observations N, which sets the bandwidth in place of n.
+    The caller checks the responses' support and bounds G, normally by
+    rows_per_block(n).  Returns one entry per problem, in order: its
+    FitResult, or the KinkfitError that fit would raise for it.  Each
+    entry is bit for bit what fit returns for that problem alone.
     """
-    h = bandwidth(spec.bw, x.shape[1])
+    h = bandwidth(spec.bw, x.shape[1] if counts is None else int(counts[0].sum()))
     start = np.array([s.to_array() for s in starts])
-    p, q, S, J, Sig, iterations, status = _newton(spec, x, y, z, start, h)
+    p, q, S, J, Sig, iterations, status = _newton(spec, x, y, z, counts, start, h)
     results = []
     for g, st in enumerate(status):
         if st == _NUMERIC:
@@ -496,13 +527,15 @@ def fit(
     once the gradient is small and the halved step below the tolerance);
     convergence requires a small gradient, a small accepted step, and a
     positive definite negative Hessian.  The fit gives up after 100
-    iterations.  This is fit_stack on one problem.
+    iterations.  This is fit_stack on one problem.  Counted data
+    (Dataset.counts) fit as their expansion does, to round-off; they need
+    an explicit init, since profile_init does not take them.
     """
     if init is None:
         init = profile_init(spec, data, tau_grid)
     data.check_family(spec.family)
-    z = None if data.z is None else data.z[None]
-    result = fit_stack(spec, data.x[None], data.y[None], z, [init])[0]
+    z, c = _pick((data.z, data.counts), None)
+    result = fit_stack(spec, data.x[None], data.y[None], z, [init], c)[0]
     if isinstance(result, KinkfitError):
         raise result
     return result
@@ -512,8 +545,9 @@ def fit_beta_given_tau(spec: ModelSpec, data: Dataset, tau: float, h: float) -> 
     """Coefficients maximizing the smoothed objective with tau frozen.
 
     theta is linear in the coefficients, so this is an ordinary GLM on the
-    smoothed segment regressor.
+    smoothed segment regressor.  Counted data raise DataError.
     """
+    data.require_uncounted("fit_beta_given_tau")
     seg, _, _ = segment_term(spec.form, data.x, tau, h, spec.kernel)
     beta, _ = glm_irls(spec.family, design(data, seg), data.y)
     return beta
@@ -526,8 +560,9 @@ def linearized_fit(spec: ModelSpec, data: Dataset, tau0: float) -> LinearizedFit
     The regressors are u = seg(x, tau0) and v = -d seg/d tau at tau0, so
     that the coefficient c on v satisfies tau_hat = tau0 - c/beta2 exactly
     under the first-order expansion.  The GLM covariance of (c, beta2)
-    feeds the delta-method standard error.
+    feeds the delta-method standard error.  Counted data raise DataError.
     """
+    data.require_uncounted("linearized_fit")
     h = bandwidth(spec.bw, data.n)
     seg, d_tau, _ = segment_term(spec.form, data.x, tau0, h, spec.kernel)
     X = design(data, seg, -d_tau)

@@ -103,11 +103,20 @@ class ParamVector:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Observations (x, y) with optional extra covariates z (n x k)."""
+    """Observations (x, y) with optional extra covariates z (n x k).
+
+    counts, when given, holds the multiplicity of each of the n stored
+    rows, positive integers: row i stands for counts[i] identical
+    observations, so the data hold sum(counts) observations and fit as
+    their expansion does, to round-off.  A bootstrap resample is its
+    distinct rows with their counts.  None means once each.  n is the
+    number of stored rows either way.
+    """
 
     x: np.ndarray
     y: np.ndarray
     z: np.ndarray | None = None
+    counts: np.ndarray | None = None
 
     def __post_init__(self):
         x = np.asarray(self.x, dtype=float)
@@ -129,8 +138,20 @@ class Dataset:
                 raise DataError("z must be finite")
             object.__setattr__(self, "z", z)
             k = z.shape[1]
-        if x.size < 5 + k:
-            raise DataError(f"need at least {5 + k} observations, got {x.size}")
+        size = x.size
+        if self.counts is not None:
+            c = np.asarray(self.counts)
+            if c.shape != x.shape:
+                raise DataError("counts must hold one entry per row of x")
+            if c.dtype.kind not in "iuf" or not np.all(np.isfinite(c)) or np.any(
+                (c < 1) | (c != np.floor(c))
+            ):
+                raise DataError("counts must be positive integers")
+            c = c.astype(np.int64)
+            object.__setattr__(self, "counts", c)
+            size = int(c.sum())
+        if size < 5 + k:
+            raise DataError(f"need at least {5 + k} observations, got {size}")
 
     @property
     def n(self) -> int:
@@ -146,8 +167,16 @@ class Dataset:
 
     def take(self, idx: np.ndarray) -> "Dataset":
         return Dataset(
-            self.x[idx], self.y[idx], None if self.z is None else self.z[idx]
+            self.x[idx],
+            self.y[idx],
+            None if self.z is None else self.z[idx],
+            None if self.counts is None else self.counts[idx],
         )
+
+    def require_uncounted(self, consumer: str) -> None:
+        """DataError for a consumer that treats every row as one observation."""
+        if self.counts is not None:
+            raise DataError(f"{consumer} does not take counted data (Dataset.counts)")
 
 
 def segment_term(form: ModelForm, x, tau, h: float, kernel: Kernel):
@@ -232,17 +261,24 @@ def _split(params: np.ndarray):
 
 
 def _rows(data: Dataset):
-    """The dataset as a stack of one row: (x, y, z) with a leading axis."""
-    return data.x[None], data.y[None], None if data.z is None else data.z[None]
+    """The dataset as a stack of one row: (x, y, z, counts) with a leading
+    axis; z and counts stay None when absent."""
+    return tuple(None if v is None else v[None] for v in (data.x, data.y, data.z, data.counts))
 
 
 def _terms(family: Family, theta: np.ndarray, y: np.ndarray) -> np.ndarray:
     return y * theta - families.cumulant(family, theta)
 
 
-def _loglik(family: Family, theta: np.ndarray, y: np.ndarray):
-    """Log-likelihood sums over the last axis of theta; the one check that
-    theta and b(theta) are finite."""
+def _sum_obs(terms: np.ndarray, c) -> np.ndarray:
+    """Sum over the observations (last axis), each row weighted by its count."""
+    return terms.sum(axis=-1) if c is None else (c * terms).sum(axis=-1)
+
+
+def _loglik(family: Family, theta: np.ndarray, y: np.ndarray, c):
+    """Log-likelihood sums over the last axis of theta, rows weighted by
+    the counts c (None: once each); the one check that theta and b(theta)
+    are finite."""
     terms = _terms(family, theta, y)
     bad = ~np.isfinite(terms)
     if bad.any():
@@ -250,15 +286,15 @@ def _loglik(family: Family, theta: np.ndarray, y: np.ndarray):
         raise NumericError(
             f"non-finite objective contribution at observation {idx}", index=idx
         )
-    return terms.sum(axis=-1)
+    return _sum_obs(terms, c)
 
 
 def objective(spec: ModelSpec, params: ParamVector, data: Dataset, h: float) -> float:
     """Smoothed log-likelihood sum(y * theta - b(theta)), dropping the
-    parameter-free log c(y) term."""
-    x, y, z = _rows(data)
+    parameter-free log c(y) term.  Each row counts data.counts times."""
+    x, y, z, c = _rows(data)
     theta = _theta(spec, *_split(params.to_array()[None]), x, z, h)[0]
-    return float(_loglik(spec.family, theta, y)[0])
+    return float(_loglik(spec.family, theta, y, c)[0])
 
 
 def profile_objective(
@@ -273,26 +309,31 @@ def profile_objective(
     """
     tau = np.asarray(taus, dtype=float)[:, None]
     theta = _theta(spec, coef, tau, data.x, data.z, h)[0]
-    return _loglik(spec.family, theta, data.y)
+    return _loglik(spec.family, theta, data.y, data.counts)
 
 
-def objective_rows(spec: ModelSpec, params: np.ndarray, x, y, z, h: float) -> np.ndarray:
+def objective_rows(
+    spec: ModelSpec, params: np.ndarray, x, y, z, h: float, counts=None
+) -> np.ndarray:
     """objective() of G problems of the same size in one pass.
 
     Row g of the G x (4 + k) params is evaluated on the observations x[g],
     y[g] and z[g] (G x n, G x n and G x n x k; z is None without
-    covariates).  A row whose log-likelihood is not finite reads -inf
-    instead of raising.  Works on G x n arrays; the caller bounds G.
+    covariates), observation i counting counts[g, i] times (G x n, the
+    stacked Dataset.counts; None means once each).  A row whose
+    log-likelihood is not finite reads -inf instead of raising.  Works on
+    G x n arrays; the caller bounds G.
     """
     coef, tau = _split(params)
-    q = _terms(spec.family, _theta(spec, coef, tau, x, z, h)[0], y).sum(axis=-1)
+    q = _sum_obs(_terms(spec.family, _theta(spec, coef, tau, x, z, h)[0], y), counts)
     return np.where(np.isfinite(q), q, -np.inf)
 
 
-def evaluate_rows(spec: ModelSpec, params: np.ndarray, x, y, z, h: float):
+def evaluate_rows(spec: ModelSpec, params: np.ndarray, x, y, z, h: float, counts=None):
     """evaluate() of G problems of the same size in one pass.
 
-    Rows and observations as in objective_rows.  Returns (Q, S, J, Sigma,
+    Rows, observations and counts as in objective_rows; the counts weight
+    every sum over observations.  Returns (Q, S, J, Sigma,
     ok), each stacked over the G rows; ok[g] is False where row g's
     objective, score or negative Hessian is not finite, and that row's
     values mean nothing.  Every sum over observations is a matrix product,
@@ -301,7 +342,7 @@ def evaluate_rows(spec: ModelSpec, params: np.ndarray, x, y, z, h: float):
     """
     coef, tau = _split(params)
     theta, seg, d_tau, d_tau2 = _theta(spec, coef, tau, x, z, h)
-    q = _terms(spec.family, theta, y).sum(axis=-1)
+    q = _sum_obs(_terms(spec.family, theta, y), counts)
     b2 = coef[:, 2:3]
     D = np.empty(theta.shape + (params.shape[1],))
     D[:, :, 0] = 1.0
@@ -311,7 +352,10 @@ def evaluate_rows(spec: ModelSpec, params: np.ndarray, x, y, z, h: float):
     if z is not None:
         D[:, :, 4:] = z
     mu, w = families.mean_variance(spec.family, theta)
-    resid = (y - mu)[:, None, :]
+    r = y - mu
+    if counts is not None:
+        r, w = counts * r, counts * w
+    resid = r[:, None, :]
     Dt = D.transpose(0, 2, 1)
     S = np.matmul(Dt, resid.transpose(0, 2, 1))[:, :, 0]
     Sig = np.matmul((D * w[:, :, None]).transpose(0, 2, 1), D)
@@ -332,9 +376,11 @@ def evaluate(spec: ModelSpec, params: ParamVector, data: Dataset, h: float):
     matrix sum_i b''(theta_i) D_i D_i^t, the model covariance of the score
     (positive semidefinite by construction).  J equals Sigma plus the
     residual terms of the (beta2, tau) and (tau, tau) entries, the two
-    places where theta is nonlinear in the parameters.
+    places where theta is nonlinear in the parameters.  Every sum over
+    observations weights row i by data.counts[i].
     """
-    q, S, J, Sig, ok = evaluate_rows(spec, params.to_array()[None], *_rows(data), h)
+    x, y, z, c = _rows(data)
+    q, S, J, Sig, ok = evaluate_rows(spec, params.to_array()[None], x, y, z, h, c)
     if not ok[0]:
         objective(spec, params, data, h)  # names a non-finite contribution
         raise NumericError("non-finite score or negative Hessian")
