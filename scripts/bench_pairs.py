@@ -28,7 +28,8 @@ from pathlib import Path
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One benchmark run in checkout: its last output line, parsed.
+    """One benchmark run in checkout: ``correct`` and the metric values of
+    its last output line.
 
     A run that exits non-zero or prints no result reads as not correct,
     without metrics.
@@ -39,13 +40,11 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     lines = proc.stdout.strip().splitlines()
     try:
         result = json.loads(lines[-1])
-        result["metrics"]
-    except (IndexError, ValueError, KeyError):
+        metrics = {name: m["value"] for name, m in result["metrics"].items()}
+    except (IndexError, ValueError, KeyError, TypeError):
         sys.stderr.write(f"{checkout}: exit {proc.returncode}, no result\n{proc.stderr}\n")
         return {"correct": False, "metrics": {}}
-    if proc.returncode != 0:
-        result["correct"] = False
-    return result
+    return {"correct": proc.returncode == 0 and result.get("correct") is True, "metrics": metrics}
 
 
 def iqr(values: list[float]) -> float:

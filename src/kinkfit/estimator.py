@@ -334,12 +334,12 @@ def _newton(spec: ModelSpec, x, y, z, c, start: np.ndarray, h: float):
     times (c None: once each; every row of c sums to the same N), and
     starts from row g of the G x (4 + k) start.  The gradient tolerance
     and the change point's bounds x(2) and x(N-1) are those of the N
-    observations, not of the n stored rows.  Returns (p, q, S, J, Sig, iterations, status)
-    stacked over the problems, status being one of _CONVERGED, _STOPPED
-    (no ascent, indefinite curvature at a stationary point, or the
-    iteration limit), _NUMERIC, _NO_RIDGE, _SINGULAR and _BOUNDARY.  A
-    problem leaves the loop at its own stop; the rows still running are
-    compacted only then.  Every model evaluation is one stacked pass whose
+    observations, not of the n stored rows.  Returns (p, q, S, J, Sig,
+    iterations, status) stacked over the problems, status being one of
+    _CONVERGED, _STOPPED (no ascent, indefinite curvature at a stationary
+    point, or the iteration limit), _NUMERIC, _NO_RIDGE, _SINGULAR and
+    _BOUNDARY.  A problem leaves the loop at its own stop; the rows still
+    running are compacted only then.  Every model evaluation is one stacked pass whose
     rows match a stack of one bit for bit, so a problem's result does not
     depend on its block.
     """
@@ -534,8 +534,8 @@ def fit(
     if init is None:
         init = profile_init(spec, data, tau_grid)
     data.check_family(spec.family)
-    z, c = _pick((data.z, data.counts), None)
-    result = fit_stack(spec, data.x[None], data.y[None], z, [init], c)[0]
+    x, y, z, c = _pick((data.x, data.y, data.z, data.counts), None)  # stacks of one
+    result = fit_stack(spec, x, y, z, [init], c)[0]
     if isinstance(result, KinkfitError):
         raise result
     return result

@@ -333,12 +333,12 @@ def evaluate_rows(spec: ModelSpec, params: np.ndarray, x, y, z, h: float, counts
     """evaluate() of G problems of the same size in one pass.
 
     Rows, observations and counts as in objective_rows; the counts weight
-    every sum over observations.  Returns (Q, S, J, Sigma,
-    ok), each stacked over the G rows; ok[g] is False where row g's
-    objective, score or negative Hessian is not finite, and that row's
-    values mean nothing.  Every sum over observations is a matrix product,
-    so each row's numbers are those of a stack of one.  Works on
-    G x n x (4 + k) arrays; the caller bounds G.
+    every sum over observations.  Returns (Q, S, J, Sigma, ok), each
+    stacked over the G rows; ok[g] is False where row g's objective, score
+    or negative Hessian is not finite, and that row's values mean nothing.
+    Every sum over observations is a matrix product, so each row's numbers
+    are those of a stack of one.  Works on G x n x (4 + k) arrays; the
+    caller bounds G.
     """
     coef, tau = _split(params)
     theta, seg, d_tau, d_tau2 = _theta(spec, coef, tau, x, z, h)

@@ -48,6 +48,15 @@ class SimScenario:
             raise DomainError("replications must be >= 1")
         if not (self.x_lo < self.true_params.tau < self.x_hi):
             raise DomainError("true change point must lie inside the x range")
+        # NaN fails the comparison too.  profile_init still checks each
+        # replicate's own x range.
+        if self.tau_grid is not None and not all(
+            self.x_lo < t < self.x_hi for t in self.tau_grid
+        ):
+            raise DataError(
+                f"tau_grid candidates must be finite and strictly inside "
+                f"(x_lo, x_hi) = ({self.x_lo}, {self.x_hi}), got {self.tau_grid}"
+            )
 
     def model_spec(self) -> ModelSpec:
         return ModelSpec(

@@ -39,6 +39,31 @@ def make_data(spec, params=TRUE, n=200, seed=0, x_lo=-2.0, x_hi=2.0, noise=True)
     return Dataset(x=x, y=y, z=z)
 
 
+def make_counted(data, seed, end_counts=(1, 1), tie=False):
+    """data with a count of 1-3 per row, and its expansion.
+
+    The rows at the smallest and the largest x count end_counts.  With
+    tie, one more row takes the smallest x and two interior rows share an
+    x value.  Returns (counted, expansion): the rows with their counts, and
+    the same observations as plain rows, each repeated count times.
+    """
+    rng = np.random.default_rng(seed)
+    x = data.x.copy()
+    c = rng.integers(1, 4, data.n)
+    lo, hi = np.argmin(x), np.argmax(x)
+    c[lo], c[hi] = end_counts
+    if tie:
+        i, j, k = rng.choice(np.setdiff1d(np.arange(data.n), [lo, hi]), 3, replace=False)
+        x[i], x[j] = x[lo], x[k]
+    plain = Dataset(x, data.y, data.z)
+    return Dataset(x, data.y, data.z, c), plain.take(np.repeat(np.arange(data.n), c))
+
+
+# Counted-data cases: the counts of the rows at the smallest and the
+# largest x, and whether x values are tied (at the minimum and inside).
+COUNT_CASES = [((1, 1), False), ((2, 1), False), ((1, 3), False), ((1, 1), True), ((3, 2), True)]
+
+
 def make_case_control_like(seed, n=771):
     """Binary outcome with a quadratic-then-linear dose effect.
 

@@ -246,6 +246,20 @@ def test_non_numeric_scenario_value_is_a_data_error(edit, key, token, tmp_path, 
     assert key in err["message"] and token in err["message"]
 
 
+@pytest.mark.parametrize("line", ["tau_grid = 0.1, nan", "tau_grid = 0.1, 2.5"])
+def test_unusable_scenario_tau_grid_is_a_data_error(line, tmp_path, capsys):
+    # Every replicate used to fail in profile_init, and simulate exited 4.
+    import pathlib
+    smoke = pathlib.Path(__file__).resolve().parent.parent / "scenarios" / "smoke.scenario"
+    scen = tmp_path / "grid.scenario"
+    scen.write_text(smoke.read_text() + line + "\n")
+    assert main(["simulate", "--scenario", str(scen)]) == EXIT_DATA
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] == "data-error" and "tau_grid" in err["message"]
+
+
 def test_simulate_seed_override_changes_results(tmp_path, capsys):
     import pathlib
     scen = pathlib.Path(__file__).resolve().parent.parent / "scenarios" / "smoke.scenario"

@@ -15,7 +15,7 @@ from kinkfit.families import Family
 from kinkfit.kernels import bandwidth
 from kinkfit.model import Dataset, ParamVector, evaluate, indicator_segment, objective
 
-from conftest import TRUE, make_data, make_spec
+from conftest import COUNT_CASES, TRUE, make_counted, make_data, make_spec
 
 GRID_WITH_TRUTH = tuple(np.round(np.linspace(0.1, 0.9, 17), 4))
 
@@ -261,3 +261,68 @@ def test_linearized_fit_rejects_degenerate_design():
     # tau0 beyond every observation: segment and its derivative vanish
     with pytest.raises(DegenerateDesignError):
         linearized_fit(spec, data, tau0=data.x.max() + 5.0)
+
+
+def test_second_extremes_are_those_of_the_expansion():
+    # small integer x values, so that rows tie, at the extremes too
+    rng = np.random.default_rng(21)
+    for _ in range(300):
+        n = int(rng.integers(1, 8))
+        x = rng.integers(0, 4, (3, n)).astype(float)
+        c = rng.integers(1 if n > 1 else 2, 4, (3, n))
+        lo, hi = estimator._second_extremes(x, c)
+        for g in range(3):
+            xs = np.sort(np.repeat(x[g], c[g]))
+            assert (lo[g], hi[g]) == (xs[1], xs[-2])
+
+
+@pytest.mark.parametrize("end_counts, tie", COUNT_CASES)
+def test_counted_fit_starts_at_the_expansions_bounds(end_counts, tie, monkeypatch):
+    # No Newton iteration: fit returns its start, tau clipped into
+    # [x(2), x(N-1)] of the N observations.
+    monkeypatch.setattr(estimator, "_NEWTON_MAX_ITER", 0)
+    spec = make_spec()
+    counted, expanded = make_counted(make_data(spec, n=60, seed=3), 4, end_counts, tie)
+    xs = np.sort(expanded.x)
+    for tau, bound in ((xs[0] - 1.0, xs[1]), (xs[-1] + 1.0, xs[-2])):
+        init = ParamVector(2.0, 3.0, -5.0, tau)
+        a, b = fit(spec, counted, init=init), fit(spec, expanded, init=init)
+        assert a.params.tau == b.params.tau == bound
+        assert a.objective_value == pytest.approx(b.objective_value, rel=1e-12)
+        assert a.h_used == b.h_used
+
+
+@pytest.mark.parametrize("end_counts, tie", COUNT_CASES)
+@pytest.mark.parametrize("model", ["normal", "poisson"])
+def test_counted_fit_matches_its_expansion(model, end_counts, tie):
+    if model == "normal":
+        spec, truth = make_spec(), TRUE
+    else:
+        spec = make_spec(family=Family.POISSON_LOG, form="quadratic-linear", n_covariates=2)
+        truth = ParamVector(1.0, 0.5, -0.4, 0.3, (0.3, -0.2))
+    data = make_data(spec, params=truth, n=300, seed=17)
+    counted, expanded = make_counted(data, 6, end_counts, tie)
+    init = fit(spec, data).params
+    a, b = fit(spec, counted, init=init), fit(spec, expanded, init=init)
+    assert a.converged and b.converged
+    assert a.h_used == b.h_used == bandwidth(spec.bw, expanded.n)
+    np.testing.assert_allclose(a.params.to_array(), b.params.to_array(), rtol=0, atol=1e-8)
+
+
+def test_counted_data_need_a_consumer_that_counts():
+    from kinkfit.inference import bootstrap_ci
+
+    spec = make_spec()
+    data = make_data(spec, n=100, seed=18)
+    res = fit(spec, data)
+    counted, _ = make_counted(data, 7)
+    h = bandwidth(spec.bw, data.n)
+    for call in (
+        lambda: profile_init(spec, counted),
+        lambda: fit(spec, counted),
+        lambda: fit_beta_given_tau(spec, counted, 0.5, h),
+        lambda: linearized_fit(spec, counted, res.params.tau),
+        lambda: bootstrap_ci(spec, counted, res, B=200),
+    ):
+        with pytest.raises(DataError, match="counted data"):
+            call()

@@ -1,9 +1,12 @@
 """Covariance estimates, delta-method SE, stratified bootstrap."""
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import kinkfit.inference as inf
-from kinkfit.errors import BootstrapError, InferenceError
+from kinkfit import simulate
+from kinkfit.errors import BootstrapError, InferenceError, KinkfitError
 from kinkfit.estimator import LinearizedFit, fit, glm_irls, linearized_fit
 from kinkfit.families import Family
 from kinkfit.inference import (
@@ -214,3 +217,47 @@ def test_run_inference_without_bootstrap():
     assert out.ci_bootstrap is None
     assert out.bootstrap_reps_used == 0
 
+
+
+def bootstrap_by_take(spec, data, fit_result, B, seed):
+    """Reference for bootstrap_ci: the same draws, each resample refit as
+    its drawn rows themselves, one row per draw."""
+    left = np.flatnonzero(data.x <= fit_result.params.tau)
+    right = np.flatnonzero(data.x > fit_result.params.tau)
+    draws = []
+    for b in range(B):
+        rng = np.random.default_rng([*seed, b])
+        idx = np.concatenate([rng.choice(left, size=left.size, replace=True),
+                              rng.choice(right, size=right.size, replace=True)])
+        try:
+            refit = fit(spec, data.take(idx), init=fit_result.params)
+        except KinkfitError:
+            continue
+        if refit.converged:
+            draws.append(refit.params.to_array())
+    return inf._percentile_interval(np.asarray(draws), 0.95), len(draws)
+
+
+def table1_sample():
+    scenario = simulate.load_scenario(
+        Path(__file__).resolve().parent.parent / "scenarios" / "table1.scenario")
+    return scenario.model_spec(), simulate.generate(scenario, 0)
+
+
+def poisson_sample():
+    # h = n^-1 keeps observations inside the smoothing window, so that the
+    # intervals depend on h
+    spec = make_spec(family=Family.POISSON_LOG, form="quadratic-linear",
+                     bandwidth="n^-1", n_covariates=2)
+    truth = ParamVector(1.0, 0.5, -0.4, 0.3, (0.3, -0.2))
+    return spec, make_data(spec, params=truth, n=2000, seed=3)
+
+
+@pytest.mark.parametrize("sample", [table1_sample, poisson_sample])
+def test_bootstrap_matches_refitting_the_drawn_rows(sample):
+    spec, data = sample()
+    res = fit(spec, data)
+    iv, used = bootstrap_ci(spec, data, res, B=200, seed=[4])
+    ref, ref_used = bootstrap_by_take(spec, data, res, 200, [4])
+    assert used == ref_used
+    np.testing.assert_allclose(iv, ref, rtol=0, atol=1e-6)

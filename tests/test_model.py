@@ -22,7 +22,7 @@ from kinkfit.model import (
     segment_term,
 )
 
-from conftest import TRUE, make_data, make_spec
+from conftest import COUNT_CASES, TRUE, make_counted, make_data, make_spec
 
 PHI0 = 1.0 / np.sqrt(2.0 * np.pi)
 
@@ -299,3 +299,39 @@ def test_dataset_validation():
     assert d.n == 9 and d.k == 2
     sub = d.take(np.arange(7))
     assert sub.n == 7 and sub.z.shape == (7, 2)
+
+
+@pytest.mark.parametrize("end_counts, tie", COUNT_CASES)
+@pytest.mark.parametrize("family", FAMILIES)
+def test_counted_data_evaluate_as_their_expansion(family, end_counts, tie):
+    spec, params, data, h = rand_instance(31, form="quadratic-linear", family=family, k=1)
+    counted, expanded = make_counted(data, 5, end_counts, tie)
+    assert objective(spec, params, counted, h) == pytest.approx(
+        objective(spec, params, expanded, h), rel=1e-12)
+    for a, b in zip(evaluate(spec, params, counted, h), evaluate(spec, params, expanded, h)):
+        # Q, S, J and Sigma, each relative to its largest entry
+        assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+
+
+@pytest.mark.parametrize("counts", [
+    [1, 2, 2.5, 1, 1, 1],  # not an integer
+    [1, 0, 1, 1, 1, 1],
+    [1, -2, 1, 1, 1, 1],
+    [1, np.nan, 1, 1, 1, 1],
+    [True] * 6,
+    [1] * 5,  # one entry short
+    [[1] * 6],
+])
+def test_dataset_rejects_bad_counts(counts):
+    with pytest.raises(DataError):
+        Dataset(x=np.arange(6.0), y=np.zeros(6), counts=counts)
+
+
+def test_counts_are_observations():
+    # 3 rows standing for 7 observations meet the 5-observation minimum,
+    # and so do 2 rows standing for 5
+    d = Dataset(x=np.arange(3.0), y=np.zeros(3), counts=[2.0, 2.0, 3.0])
+    assert d.n == 3 and d.counts.dtype.kind == "i"
+    np.testing.assert_array_equal(d.take([2, 0]).counts, [3, 2])
+    with pytest.raises(DataError):
+        Dataset(x=np.arange(3.0), y=np.zeros(3), counts=[2, 1, 1])
