@@ -351,10 +351,10 @@ def _newton(spec: ModelSpec, x, y, z, c, start: np.ndarray, h: float):
         lo, hi = part[:, 1], part[:, n - 2]
     else:
         lo, hi = _second_extremes(x, c)
-        n = int(c[0].sum())
+        n = int(c[0].sum())  # observations, for the gradient test
     p = start.copy()
     p[:, 3] = np.clip(p[:, 3], lo, hi)
-    q, S, J, Sig, ok = evaluate_rows(spec, p, x, y, z, h, c)
+    q, S, J, Sig, ok = evaluate_rows(spec, p, x, y, z, c, h)
     iterations = np.zeros(G, dtype=int)
     status = np.where(ok, _STOPPED, _NUMERIC)
     # Row i of the running arrays (suffix r) is problem rows[i]; they are
@@ -417,8 +417,7 @@ def _newton(spec: ModelSpec, x, y, z, c, start: np.ndarray, h: float):
             if small.any():
                 t[small, 2] = np.where(t[small, 2] < 0, -_BETA2_EPS, _BETA2_EPS)
             # A trial that overflows reads -inf: rejected like one that descends.
-            xs, ys, zs, cs = _pick(obs, sel)
-            up = objective_rows(spec, t, xs, ys, zs, h, cs) > qr[sel]
+            up = objective_rows(spec, t, *_pick(obs, sel), h) > qr[sel]
             if up.any():
                 su = s[up]
                 trial[su], accepted[su], search[su] = t[up], True, False
@@ -431,9 +430,8 @@ def _newton(spec: ModelSpec, x, y, z, c, start: np.ndarray, h: float):
             d = trial[sel] - pr[sel]
             taken[sel] = np.sqrt((d * d).sum(axis=1))
             pr[sel] = trial[sel]
-            xs, ys, zs, cs = _pick(obs, sel)
             qr[sel], Sr[sel], Jr[sel], Sigr[sel], ok = evaluate_rows(
-                spec, pr[sel], xs, ys, zs, h, cs)
+                spec, pr[sel], *_pick(obs, sel), h)
             if not ok.all():
                 out[acc[~ok]] = _NUMERIC
         # Stationary: a maximum only if the curvature is negative definite.

@@ -312,9 +312,7 @@ def profile_objective(
     return _loglik(spec.family, theta, data.y, data.counts)
 
 
-def objective_rows(
-    spec: ModelSpec, params: np.ndarray, x, y, z, h: float, counts=None
-) -> np.ndarray:
+def objective_rows(spec: ModelSpec, params: np.ndarray, x, y, z, counts, h: float) -> np.ndarray:
     """objective() of G problems of the same size in one pass.
 
     Row g of the G x (4 + k) params is evaluated on the observations x[g],
@@ -329,7 +327,7 @@ def objective_rows(
     return np.where(np.isfinite(q), q, -np.inf)
 
 
-def evaluate_rows(spec: ModelSpec, params: np.ndarray, x, y, z, h: float, counts=None):
+def evaluate_rows(spec: ModelSpec, params: np.ndarray, x, y, z, counts, h: float):
     """evaluate() of G problems of the same size in one pass.
 
     Rows, observations and counts as in objective_rows; the counts weight
@@ -379,8 +377,7 @@ def evaluate(spec: ModelSpec, params: ParamVector, data: Dataset, h: float):
     places where theta is nonlinear in the parameters.  Every sum over
     observations weights row i by data.counts[i].
     """
-    x, y, z, c = _rows(data)
-    q, S, J, Sig, ok = evaluate_rows(spec, params.to_array()[None], x, y, z, h, c)
+    q, S, J, Sig, ok = evaluate_rows(spec, params.to_array()[None], *_rows(data), h)
     if not ok[0]:
         objective(spec, params, data, h)  # names a non-finite contribution
         raise NumericError("non-finite score or negative Hessian")
