@@ -313,16 +313,15 @@ def _second_extremes(x: np.ndarray, c: np.ndarray):
     """Second smallest and second largest of the observations that the
     rows of x stand for, counts c, per problem of the G x n stack.
 
-    An extreme value held by two or more observations, through a count of
-    two or more or through tied rows, is its own neighbour; otherwise the
-    neighbour is the nearest other row.  O(n), no sort.
+    The smallest x is its own neighbour when its row counts two or more;
+    otherwise the neighbour is the second smallest row, which is the
+    smallest again when rows tie there.  Likewise for the largest.
     """
-    x_lo, x_hi = x.min(axis=1, keepdims=True), x.max(axis=1, keepdims=True)
-    at_lo, at_hi = x == x_lo, x == x_hi
-    lo = np.where((c * at_lo).sum(axis=1) >= 2, x_lo[:, 0],
-                  np.where(at_lo, np.inf, x).min(axis=1))
-    hi = np.where((c * at_hi).sum(axis=1) >= 2, x_hi[:, 0],
-                  np.where(at_hi, -np.inf, x).max(axis=1))
+    n = x.shape[1]
+    s, rows = np.sort(x, axis=1), np.arange(len(x))
+    # min/max keep the indices in range for a single stored row
+    lo = np.where(c[rows, x.argmin(axis=1)] >= 2, s[:, 0], s[:, min(1, n - 1)])
+    hi = np.where(c[rows, x.argmax(axis=1)] >= 2, s[:, -1], s[:, max(n - 2, 0)])
     return lo, hi
 
 

@@ -140,16 +140,18 @@ class Dataset:
             k = z.shape[1]
         size = x.size
         if self.counts is not None:
-            c = np.asarray(self.counts)
-            if c.shape != x.shape:
+            raw = np.asarray(self.counts)
+            if raw.shape != x.shape:
                 raise DataError("counts must hold one entry per row of x")
-            if c.dtype.kind not in "iuf" or not np.all(np.isfinite(c)) or np.any(
-                (c < 1) | (c != np.floor(c))
+            # Stored as floats: they weight float sums, and a float times a
+            # float needs no cast.  An infinite count makes the sum infinite.
+            c = raw.astype(float)
+            size = c.sum()
+            if raw.dtype.kind not in "iuf" or not (
+                np.all((c >= 1) & (c == np.floor(c))) and np.isfinite(size)
             ):
                 raise DataError("counts must be positive integers")
-            c = c.astype(np.int64)
             object.__setattr__(self, "counts", c)
-            size = int(c.sum())
         if size < 5 + k:
             raise DataError(f"need at least {5 + k} observations, got {size}")
 

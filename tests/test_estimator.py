@@ -309,6 +309,21 @@ def test_counted_fit_matches_its_expansion(model, end_counts, tie):
     np.testing.assert_allclose(a.params.to_array(), b.params.to_array(), rtol=0, atol=1e-8)
 
 
+def test_counted_fit_tests_the_gradient_against_all_observations():
+    # 60 rows of 50 observations each.  A start just off the optimum has
+    # max|score| about 0.008: below _TOL * 3000 = 0.03, so the first step,
+    # far below _TOL, ends the fit, but above _TOL * 60.
+    spec = make_spec()
+    data = make_data(spec, n=60, seed=19)
+    counted = Dataset(data.x, data.y, counts=np.full(data.n, 50))
+    expanded = data.take(np.repeat(np.arange(data.n), 50))
+    opt = fit(spec, expanded, init=fit(spec, data).params).params.to_array()
+    start = ParamVector.from_array(opt + [0.005 / 3000, 0.0, 0.0, 0.0])
+    a, b = fit(spec, counted, init=start), fit(spec, expanded, init=start)
+    assert a.converged and b.converged
+    assert a.iterations == b.iterations == 1
+
+
 def test_counted_data_need_a_consumer_that_counts():
     from kinkfit.inference import bootstrap_ci
 
