@@ -143,15 +143,17 @@ class Dataset:
             raw = np.asarray(self.counts)
             if raw.shape != x.shape:
                 raise DataError("counts must hold one entry per row of x")
+            bad = DataError("counts must be positive integers")
+            if raw.dtype.kind not in "iuf":
+                raise bad
             # Stored as floats: they weight float sums, and a float times a
             # float needs no cast.  An infinite count makes the sum infinite.
             c = raw.astype(float)
-            size = c.sum()
-            if raw.dtype.kind not in "iuf" or not (
-                np.all((c >= 1) & (c == np.floor(c))) and np.isfinite(size)
-            ):
-                raise DataError("counts must be positive integers")
+            total = c.sum()
+            if not (np.all((c >= 1) & (c == np.floor(c))) and np.isfinite(total)):
+                raise bad
             object.__setattr__(self, "counts", c)
+            size = int(total)
         if size < 5 + k:
             raise DataError(f"need at least {5 + k} observations, got {size}")
 

@@ -319,6 +319,7 @@ def test_counted_data_evaluate_as_their_expansion(family, end_counts, tie):
     [1, -2, 1, 1, 1, 1],
     [1, np.nan, 1, 1, 1, 1],
     [True] * 6,
+    ["2"] * 6,
     [1] * 5,  # one entry short
     [[1] * 6],
 ])
