@@ -166,7 +166,6 @@ def _build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("simulate", help="run a Monte Carlo scenario")
     s.add_argument("--scenario", required=True, help="key = value scenario file")
     s.add_argument("--out", default="", help="output prefix for report files")
-    s.add_argument("--format", choices=["json", "csv", "table"], default="table")
     s.add_argument("--seed", type=int, default=None, help="override scenario seed")
 
     v = sub.add_parser("validate-kernel", help="check kernel conditions")

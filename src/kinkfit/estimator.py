@@ -48,7 +48,6 @@ from .model import (
     evaluate_rows,
     indicator_segment,
     objective_rows,
-    profile_objective,
     segment_term,
 )
 
@@ -238,12 +237,14 @@ def profile_init(
     The sorted candidates are taken in blocks of rows_per_block(n), at
     most 2^14 / n and at least one, so that no stacked candidate x
     observation array exceeds 2^14 values; at n = 500 the 21-point
-    automatic grid is one block.  A block is fit by
-    one stacked IRLS, and its converged candidates are scored by one
-    vectorized smoothed-objective pass.  A candidate whose IRLS fails
-    (singular, diverged or not converged) is dropped alone.  The winner is
-    the candidate maximizing the smoothed objective, ties going to the
-    smallest candidate.  Counted data (Dataset.counts) raise DataError.
+    automatic grid is one block.  A block is fit by one stacked IRLS, and
+    its converged candidates, as parameter vectors in ParamVector order,
+    are scored by one objective_rows pass; a zero beta2 is scored as
+    1e-10.  A candidate whose IRLS fails (singular, diverged or not
+    converged) is dropped alone; a converged one whose smoothed objective
+    is not finite raises NumericError.  The winner is the candidate
+    maximizing the smoothed objective, ties going to the smallest
+    candidate.  Counted data (Dataset.counts) raise DataError.
     """
     data.require_uncounted("profile_init")
     data.check_family(spec.family)
@@ -261,7 +262,7 @@ def profile_init(
     shared = design(data)  # [1, x, z]; the segment column differs per candidate
     q = shared.shape[1]
     block = rows_per_block(data.n)
-    best_q, best_p = -np.inf, None
+    best_q, best = -np.inf, None
     for start in range(0, grid.size, block):
         taus = grid[start:start + block]
         seg = indicator_segment(spec.form, data.x, taus[:, None])
@@ -269,22 +270,25 @@ def profile_init(
         ok = status == _CONVERGED
         if not ok.any():
             continue
-        # (beta0, beta1, beta2, gamma...) from the IRLS order [1, x, z, seg].
-        coef = beta[ok][:, [0, 1, q, *range(2, q)]]
-        scored = coef.copy()
+        # ParamVector order (beta0, beta1, beta2, tau, gamma...) from the
+        # IRLS order [1, x, z, seg].
+        b = beta[ok]
+        rows = np.column_stack((b[:, [0, 1, q]], taus[ok], b[:, 2:q]))
+        scored = rows.copy()
         scored[scored[:, 2] == 0.0, 2] = _BETA2_EPS
-        values = profile_objective(spec, scored, taus[ok], data, h)
+        values = objective_rows(spec, scored, data.x, data.y, data.z, None, h)
+        if not np.isfinite(values).all():  # objective_rows reads them as -inf
+            raise NumericError("non-finite smoothed objective of a profile candidate")
         g = int(np.argmax(values))
         if values[g] > best_q:
-            best_q, best_p = values[g], (coef[g], float(taus[ok][g]))
-    if best_p is None:
+            best_q, best = values[g], rows[g]
+    if best is None:
         raise InitializationError("every fixed-change-point GLM fit diverged")
-    beta, tau = best_p
-    if abs(beta[2]) < _BETA2_EPS:
+    if abs(best[2]) < _BETA2_EPS:
         raise IdentifiabilityError(
             "profile initialization found beta2 ~ 0; change point not identified"
         )
-    return ParamVector(beta[0], beta[1], beta[2], tau, tuple(beta[3:]))
+    return ParamVector.from_array(best)
 
 
 def _positive_definite(M: np.ndarray) -> np.ndarray:
@@ -309,19 +313,24 @@ def _pick(arrays, sel):
     return tuple(None if v is None else v[sel] for v in arrays)
 
 
-def _second_extremes(x: np.ndarray, c: np.ndarray):
+def _second_extremes(x: np.ndarray, c):
     """Second smallest and second largest of the observations that the
-    rows of x stand for, counts c, per problem of the G x n stack.
+    rows of x stand for, counts c (None: once each), per problem of the
+    G x n stack.
 
     The smallest x is its own neighbour when its row counts two or more;
     otherwise the neighbour is the second smallest row, which is the
     smallest again when rows tie there.  Likewise for the largest.
     """
     n = x.shape[1]
-    s, rows = np.sort(x, axis=1), np.arange(len(x))
+    s = np.sort(x, axis=1)
     # min/max keep the indices in range for a single stored row
-    lo = np.where(c[rows, x.argmin(axis=1)] >= 2, s[:, 0], s[:, min(1, n - 1)])
-    hi = np.where(c[rows, x.argmax(axis=1)] >= 2, s[:, -1], s[:, max(n - 2, 0)])
+    lo, hi = s[:, min(1, n - 1)], s[:, max(n - 2, 0)]
+    if c is None:
+        return lo, hi
+    rows = np.arange(len(x))
+    lo = np.where(c[rows, x.argmin(axis=1)] >= 2, s[:, 0], lo)
+    hi = np.where(c[rows, x.argmax(axis=1)] >= 2, s[:, -1], hi)
     return lo, hi
 
 
@@ -345,11 +354,8 @@ def _newton(spec: ModelSpec, x, y, z, c, start: np.ndarray, h: float):
     G, n = x.shape
     n_par = start.shape[1]
     eye = np.eye(n_par)
-    if c is None:
-        part = np.partition(x, (1, n - 2), axis=1)
-        lo, hi = part[:, 1], part[:, n - 2]
-    else:
-        lo, hi = _second_extremes(x, c)
+    lo, hi = _second_extremes(x, c)
+    if c is not None:
         n = int(c[0].sum())  # observations, for the gradient test
     p = start.copy()
     p[:, 3] = np.clip(p[:, 3], lo, hi)

@@ -167,7 +167,9 @@ def run_inference(
     bootstrap_B: int = 0,
     seed=0,
 ) -> InferenceResult:
-    """Assemble all inference outputs for a converged fit."""
+    """Assemble all inference outputs for a converged fit.  Counted data
+    (Dataset.counts) raise DataError."""
+    data.require_uncounted("run_inference")
     cov = sandwich_cov(fit_result)
     se = np.sqrt(np.diag(cov))
     est = fit_result.params.to_array()

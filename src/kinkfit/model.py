@@ -33,7 +33,6 @@ __all__ = [
     "indicator_segment",
     "design",
     "objective",
-    "profile_objective",
     "objective_rows",
     "evaluate",
     "evaluate_rows",
@@ -235,33 +234,29 @@ def design(data: Dataset, *segment_cols) -> np.ndarray:
     return np.column_stack(cols)
 
 
-def _theta(spec: ModelSpec, coef: np.ndarray, tau, x, z, h: float):
+def _theta(spec: ModelSpec, params: np.ndarray, x, z, h: float):
     """theta for G rows, with the segment term and its two tau-derivatives
     it was built from.
 
-    Row g of the G x (3 + k) coef holds (beta0, beta1, beta2, gamma...) and
-    tau is a G x 1 column.  x and z are either shared by every row (n and
-    n x k) or given per row (G x n and G x n x k); z is None without
-    covariates.  Every returned array is G x n.
+    Row g of the G x (4 + k) params holds one parameter vector in the
+    order of ParamVector, (beta0, beta1, beta2, tau, gamma...).  x and z
+    are either shared by every row (n and n x k) or given per row (G x n
+    and G x n x k); z is None without covariates.  Every returned array is
+    G x n.
     """
     k = 0 if z is None else z.shape[-1]
-    if coef.shape[-1] != 3 + spec.n_covariates or k != spec.n_covariates:
+    if params.shape[-1] != 4 + spec.n_covariates or k != spec.n_covariates:
         raise DomainError(
             f"covariate count mismatch: spec expects {spec.n_covariates}, "
-            f"params carry {coef.shape[-1] - 3}, data carries {k}"
+            f"params carry {params.shape[-1] - 4}, data carries {k}"
         )
-    seg, d_tau, d_tau2 = segment_term(spec.form, x, tau, h, spec.kernel)
-    theta = coef[:, 0:1] + coef[:, 1:2] * x + coef[:, 2:3] * seg
+    seg, d_tau, d_tau2 = segment_term(spec.form, x, params[:, 3:4], h, spec.kernel)
+    theta = params[:, 0:1] + params[:, 1:2] * x + params[:, 2:3] * seg
     if k and z.ndim == 3:
-        theta = theta + np.matmul(z, coef[:, 3:, None])[:, :, 0]
+        theta = theta + np.matmul(z, params[:, 4:, None])[:, :, 0]
     elif k:
-        theta = theta + (z @ coef[:, 3:].T).T
+        theta = theta + (z @ params[:, 4:].T).T
     return theta, seg, d_tau, d_tau2
-
-
-def _split(params: np.ndarray):
-    """(coef, tau column) of a G x (4 + k) stack of parameter vectors."""
-    return np.concatenate((params[:, :3], params[:, 4:]), axis=1), params[:, 3:4]
 
 
 def _rows(data: Dataset):
@@ -279,55 +274,36 @@ def _sum_obs(terms: np.ndarray, c) -> np.ndarray:
     return terms.sum(axis=-1) if c is None else (c * terms).sum(axis=-1)
 
 
-def _loglik(family: Family, theta: np.ndarray, y: np.ndarray, c):
-    """Log-likelihood sums over the last axis of theta, rows weighted by
-    the counts c (None: once each); the one check that theta and b(theta)
-    are finite."""
-    terms = _terms(family, theta, y)
+def objective(spec: ModelSpec, params: ParamVector, data: Dataset, h: float) -> float:
+    """Smoothed log-likelihood sum(y * theta - b(theta)), dropping the
+    parameter-free log c(y) term.  Each row counts data.counts times.
+    The one evaluation that names a non-finite contribution: it raises
+    NumericError with the index of the first observation whose y * theta
+    or b(theta) is not finite.
+    """
+    x, y, z, c = _rows(data)
+    terms = _terms(spec.family, _theta(spec, params.to_array()[None], x, z, h)[0], y)
     bad = ~np.isfinite(terms)
     if bad.any():
         idx = int(np.nonzero(bad)[-1][0])
         raise NumericError(
             f"non-finite objective contribution at observation {idx}", index=idx
         )
-    return _sum_obs(terms, c)
-
-
-def objective(spec: ModelSpec, params: ParamVector, data: Dataset, h: float) -> float:
-    """Smoothed log-likelihood sum(y * theta - b(theta)), dropping the
-    parameter-free log c(y) term.  Each row counts data.counts times."""
-    x, y, z, c = _rows(data)
-    theta = _theta(spec, *_split(params.to_array()[None]), x, z, h)[0]
-    return float(_loglik(spec.family, theta, y, c)[0])
-
-
-def profile_objective(
-    spec: ModelSpec, coef: np.ndarray, taus: np.ndarray, data: Dataset, h: float
-) -> np.ndarray:
-    """objective() of G candidates in one pass.
-
-    Row g of the G x (3 + k) coef holds (beta0, beta1, beta2, gamma...) of
-    the candidate whose change point is taus[g].  Works on G x n arrays;
-    the caller bounds G.  Raises NumericError if any candidate's
-    log-likelihood is not finite.
-    """
-    tau = np.asarray(taus, dtype=float)[:, None]
-    theta = _theta(spec, coef, tau, data.x, data.z, h)[0]
-    return _loglik(spec.family, theta, data.y, data.counts)
+    return float(_sum_obs(terms, c)[0])
 
 
 def objective_rows(spec: ModelSpec, params: np.ndarray, x, y, z, counts, h: float) -> np.ndarray:
     """objective() of G problems of the same size in one pass.
 
     Row g of the G x (4 + k) params is evaluated on the observations x[g],
-    y[g] and z[g] (G x n, G x n and G x n x k; z is None without
-    covariates), observation i counting counts[g, i] times (G x n, the
+    y[g] and z[g] (G x n, G x n and G x n x k; or x, y and z shared by
+    every row, n, n and n x k; z is None without covariates),
+    observation i counting counts[g, i] times (G x n, the
     stacked Dataset.counts; None means once each).  A row whose
     log-likelihood is not finite reads -inf instead of raising.  Works on
     G x n arrays; the caller bounds G.
     """
-    coef, tau = _split(params)
-    q = _sum_obs(_terms(spec.family, _theta(spec, coef, tau, x, z, h)[0], y), counts)
+    q = _sum_obs(_terms(spec.family, _theta(spec, params, x, z, h)[0], y), counts)
     return np.where(np.isfinite(q), q, -np.inf)
 
 
@@ -342,10 +318,9 @@ def evaluate_rows(spec: ModelSpec, params: np.ndarray, x, y, z, counts, h: float
     are those of a stack of one.  Works on G x n x (4 + k) arrays; the
     caller bounds G.
     """
-    coef, tau = _split(params)
-    theta, seg, d_tau, d_tau2 = _theta(spec, coef, tau, x, z, h)
+    theta, seg, d_tau, d_tau2 = _theta(spec, params, x, z, h)
     q = _sum_obs(_terms(spec.family, theta, y), counts)
-    b2 = coef[:, 2:3]
+    b2 = params[:, 2:3]
     D = np.empty(theta.shape + (params.shape[1],))
     D[:, :, 0] = 1.0
     D[:, :, 1] = x

@@ -260,6 +260,14 @@ def test_unusable_scenario_tau_grid_is_a_data_error(line, tmp_path, capsys):
     assert err["error"] == "data-error" and "tau_grid" in err["message"]
 
 
+def test_simulate_takes_no_format_option():
+    import pathlib
+    scen = pathlib.Path(__file__).resolve().parent.parent / "scenarios" / "smoke.scenario"
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--scenario", str(scen), "--format", "json"])
+    assert exc.value.code == 2
+
+
 def test_simulate_seed_override_changes_results(tmp_path, capsys):
     import pathlib
     scen = pathlib.Path(__file__).resolve().parent.parent / "scenarios" / "smoke.scenario"

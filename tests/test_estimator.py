@@ -274,6 +274,11 @@ def test_second_extremes_are_those_of_the_expansion():
         for g in range(3):
             xs = np.sort(np.repeat(x[g], c[g]))
             assert (lo[g], hi[g]) == (xs[1], xs[-2])
+        if n > 1:  # uncounted: every row counts once
+            lo, hi = estimator._second_extremes(x, None)
+            for g in range(3):
+                xs = np.sort(x[g])
+                assert (lo[g], hi[g]) == (xs[1], xs[-2])
 
 
 @pytest.mark.parametrize("end_counts, tie", COUNT_CASES)
@@ -325,7 +330,7 @@ def test_counted_fit_tests_the_gradient_against_all_observations():
 
 
 def test_counted_data_need_a_consumer_that_counts():
-    from kinkfit.inference import bootstrap_ci
+    from kinkfit.inference import bootstrap_ci, run_inference
 
     spec = make_spec()
     data = make_data(spec, n=100, seed=18)
@@ -338,6 +343,7 @@ def test_counted_data_need_a_consumer_that_counts():
         lambda: fit_beta_given_tau(spec, counted, 0.5, h),
         lambda: linearized_fit(spec, counted, res.params.tau),
         lambda: bootstrap_ci(spec, counted, res, B=200),
+        lambda: run_inference(spec, counted, res),
     ):
         with pytest.raises(DataError, match="counted data"):
             call()

@@ -3,10 +3,10 @@ import numpy as np
 import pytest
 
 from kinkfit import estimator
-from kinkfit.errors import ConvergenceError, InitializationError
+from kinkfit.errors import ConvergenceError, InitializationError, NumericError
 from kinkfit.estimator import glm_irls, profile_init
 from kinkfit.families import Family
-from kinkfit.kernels import bandwidth
+from kinkfit.kernels import bandwidth, custom_kernel, normal_cdf_kernel
 from kinkfit.model import Dataset, ParamVector, design, indicator_segment, objective
 
 from conftest import make_data, make_spec
@@ -103,6 +103,23 @@ def test_every_failed_candidate_is_an_initialization_error():
         reference_profile(spec, data, [0.5, 0.75])
     with pytest.raises(InitializationError):
         profile_init(spec, data, tau_grid=(0.5, 0.75))
+
+
+def test_non_finite_smoothed_objective_of_a_candidate_is_a_numeric_error():
+    # K is infinite beyond u = 0.9, so every candidate's IRLS converges
+    # (it uses the hard indicator) but its smoothed objective is not
+    # finite.  Such a candidate fails the scan; it is not dropped.
+    normal = normal_cdf_kernel()
+    kernel = custom_kernel(
+        k=lambda u: np.where(u > 0.9, np.inf, normal.k(u)),
+        kp=normal.kp,
+        kpp=normal.kpp,
+        name="infinite-tail",
+    )
+    spec = make_spec(kernel=kernel, bandwidth="fixed:0.01")
+    data = make_data(spec, seed=33)
+    with np.errstate(invalid="ignore"), pytest.raises(NumericError):
+        profile_init(spec, data, tau_grid=(-1.0, 0.5, 1.0))
 
 
 @pytest.mark.parametrize("family", list(Family))
