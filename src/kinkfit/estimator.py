@@ -14,6 +14,15 @@ The Newton ascent is one stacked loop over G problems of the same size
 leaves the loop when it stops.  fit is its one-problem case; fit_stack
 runs a block of problems, such as the replicates of a Monte Carlo study,
 at once.  A problem's result does not depend on the block it runs in.
+Each step-halving trial is one value pass of the model (model.value_rows);
+an accepted trial's arrays go on to the derivative pass
+(model.derivative_rows), so a trial costs one segment-term evaluation,
+accepted or not, and the Jacobian's parameter-free columns are filled
+once per call.
+
+fit, fit_stack and profile_init run with numpy's floating-point warnings
+off: every value that is not finite meets a typed check (a -inf trial, a
+_NUMERIC status, a NumericError) instead of a RuntimeWarning.
 
 A one-step linearized refit is also provided: at a frozen working change
 point it turns the model into an ordinary GLM in constructed regressors,
@@ -44,11 +53,13 @@ from .model import (
     Dataset,
     ModelSpec,
     ParamVector,
+    derivative_rows,
     design,
-    evaluate_rows,
     indicator_segment,
+    jacobian_buffer,
     objective_rows,
     segment_term,
+    value_rows,
 )
 
 __all__ = [
@@ -225,6 +236,7 @@ def _auto_grid(x: np.ndarray) -> np.ndarray:
     return np.quantile(x, np.linspace(0.1, 0.9, 21))
 
 
+@np.errstate(all="ignore")
 def profile_init(
     spec: ModelSpec, data: Dataset, tau_grid: tuple[float, ...] | None = None
 ) -> ParamVector:
@@ -350,6 +362,14 @@ def _newton(spec: ModelSpec, x, y, z, c, start: np.ndarray, h: float):
     running are compacted only then.  Every model evaluation is one stacked pass whose
     rows match a stack of one bit for bit, so a problem's result does not
     depend on its block.
+
+    Each trial of the step halving is one value_rows pass over the rows
+    still searching.  The accepted rows keep their trial's arrays (as they
+    are when the whole block accepts on one trial, the usual case for a
+    single problem; else copied into arrays of the running rows), and the
+    derivative_rows pass goes on from them, so each accepted step computes
+    the segment term once.  The Jacobian buffer of the running rows is
+    built once, with its [1, x, z] columns, and compacted with them.
     """
     G, n = x.shape
     n_par = start.shape[1]
@@ -359,7 +379,8 @@ def _newton(spec: ModelSpec, x, y, z, c, start: np.ndarray, h: float):
         n = int(c[0].sum())  # observations, for the gradient test
     p = start.copy()
     p[:, 3] = np.clip(p[:, 3], lo, hi)
-    q, S, J, Sig, ok = evaluate_rows(spec, p, x, y, z, c, h)
+    Dr = jacobian_buffer(x, z, G, n_par)
+    q, S, J, Sig, ok = derivative_rows(spec, p, y, c, value_rows(spec, p, x, y, z, c, h), Dr)
     iterations = np.zeros(G, dtype=int)
     status = np.where(ok, _STOPPED, _NUMERIC)
     # Row i of the running arrays (suffix r) is problem rows[i]; they are
@@ -367,6 +388,7 @@ def _newton(spec: ModelSpec, x, y, z, c, start: np.ndarray, h: float):
     rows = np.flatnonzero(ok)
     sel = slice(None) if rows.size == G else rows
     obs = _pick((x, y, z, c), sel)  # the running rows' (x, y, z, c)
+    Dr = Dr[sel]  # and their Jacobian buffer
     lor, hir, pr, qr, Sr, Jr, Sigr = _pick((lo, hi, p, q, S, J, Sig), sel)
     for it in range(1, _NEWTON_MAX_ITER + 1):
         if rows.size == 0:
@@ -409,6 +431,7 @@ def _newton(spec: ModelSpec, x, y, z, c, start: np.ndarray, h: float):
         # accepted from there ends the fit.
         trial = np.empty_like(pr)
         accepted = np.zeros(m, dtype=bool)
+        kept = None  # the accepted trials' value pass, row i for row i
         search = out < 0
         frac = 1.0
         for _ in range(_STEP_HALVING_MAX):
@@ -422,12 +445,25 @@ def _newton(spec: ModelSpec, x, y, z, c, start: np.ndarray, h: float):
             if small.any():
                 t[small, 2] = np.where(t[small, 2] < 0, -_BETA2_EPS, _BETA2_EPS)
             # A trial that overflows reads -inf: rejected like one that descends.
-            up = objective_rows(spec, t, *_pick(obs, sel), h) > qr[sel]
+            values = value_rows(spec, t, *_pick(obs, sel), h)
+            up = values[0] > qr[sel]
             if up.any():
                 su = s[up]
                 trial[su], accepted[su], search[su] = t[up], True, False
+                if su.size == m:  # the whole block accepts on this trial
+                    kept = values
+                else:
+                    if kept is None:
+                        kept = tuple(np.empty((m,) + v.shape[1:]) for v in values)
+                    for k, v in zip(kept, values):
+                        k[su] = v[up]
+            del values  # so that no two trials' arrays are alive at once
             frac /= 2.0
             search &= frac * limit >= _TOL
+        # A row that did not accept leaves after this iteration, so its
+        # observations and Jacobian rows go now.
+        if not accepted.all():
+            obs, Dr = _pick(obs, accepted), Dr[accepted]
         taken = np.zeros(m)
         acc = np.flatnonzero(accepted)
         if acc.size:
@@ -435,8 +471,11 @@ def _newton(spec: ModelSpec, x, y, z, c, start: np.ndarray, h: float):
             d = trial[sel] - pr[sel]
             taken[sel] = np.sqrt((d * d).sum(axis=1))
             pr[sel] = trial[sel]
-            qr[sel], Sr[sel], Jr[sel], Sigr[sel], ok = evaluate_rows(
-                spec, pr[sel], *_pick(obs, sel), h)
+            # The derivative pass goes on from the accepted trials' value
+            # pass and writes into Dr.
+            kept = _pick(kept, sel)
+            qr[sel], Sr[sel], Jr[sel], Sigr[sel], ok = derivative_rows(
+                spec, pr[sel], obs[1], obs[3], kept, Dr)
             if not ok.all():
                 out[acc[~ok]] = _NUMERIC
         # Stationary: a maximum only if the curvature is negative definite.
@@ -454,7 +493,8 @@ def _newton(spec: ModelSpec, x, y, z, c, start: np.ndarray, h: float):
             p[g], q[g], S[g], J[g], Sig[g] = (
                 v[leave] for v in (pr, qr, Sr, Jr, Sigr))
             rows = rows[keep]
-            obs = _pick(obs, keep)
+            stay = keep[accepted]  # obs and Dr hold the accepted rows only
+            obs, Dr = _pick(obs, stay), Dr[stay]
             lor, hir, pr, qr, Sr, Jr, Sigr = _pick((lor, hir, pr, qr, Sr, Jr, Sigr), keep)
     if rows.size:
         iterations[rows] = _NEWTON_MAX_ITER
@@ -472,6 +512,7 @@ def rows_per_block(n: int) -> int:
     return max(1, _STACK_ELEMS // n)
 
 
+@np.errstate(all="ignore")
 def fit_stack(spec: ModelSpec, x, y, z, starts, counts=None) -> list:
     """fit() of G problems of the same size, from given starts, in one
     stacked Newton loop.
@@ -514,6 +555,7 @@ def fit_stack(spec: ModelSpec, x, y, z, starts, counts=None) -> list:
     return results
 
 
+@np.errstate(all="ignore")
 def fit(
     spec: ModelSpec,
     data: Dataset,

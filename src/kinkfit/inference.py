@@ -95,6 +95,7 @@ def _percentile_interval(draws: np.ndarray, level: float) -> np.ndarray:
     return np.column_stack([srt[lo], srt[hi]])
 
 
+@np.errstate(all="ignore")
 def bootstrap_ci(
     spec: ModelSpec,
     data: Dataset,
@@ -116,7 +117,8 @@ def bootstrap_ci(
     their stream are those of refitting the drawn rows themselves.
     Resamples whose refit raises a KinkfitError or fails to converge are
     dropped and counted; more than 10% failures aborts.  Counted data
-    raise DataError.
+    raise DataError.  Runs with numpy's floating-point warnings off, as
+    fit does.
 
     Returns (intervals (4+k) x 2, reps_used).
     """

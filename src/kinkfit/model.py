@@ -10,6 +10,17 @@ s is replaced by a kernel K((x - tau)/h), which makes the objective
 (sum of y*theta - b(theta)) twice differentiable in tau.  The derivative
 formulas implemented here are exact, not numerical; tests check them
 against central finite differences.
+
+An evaluation of G stacked problems is two passes: value_rows computes
+theta, the segment term and the objective; derivative_rows goes on from
+those arrays to the score and the curvature matrices, writing into a
+Jacobian buffer whose parameter-free columns are filled once.  A caller
+that accepts a trial point keeps the trial's value pass and runs only
+the derivative pass.
+
+objective and evaluate run with numpy's floating-point warnings off: a
+value that is not finite raises NumericError, with no RuntimeWarning
+first.
 """
 
 from __future__ import annotations
@@ -36,6 +47,9 @@ __all__ = [
     "objective_rows",
     "evaluate",
     "evaluate_rows",
+    "value_rows",
+    "jacobian_buffer",
+    "derivative_rows",
 ]
 
 
@@ -274,6 +288,7 @@ def _sum_obs(terms: np.ndarray, c) -> np.ndarray:
     return terms.sum(axis=-1) if c is None else (c * terms).sum(axis=-1)
 
 
+@np.errstate(all="ignore")
 def objective(spec: ModelSpec, params: ParamVector, data: Dataset, h: float) -> float:
     """Smoothed log-likelihood sum(y * theta - b(theta)), dropping the
     parameter-free log c(y) term.  Each row counts data.counts times.
@@ -292,42 +307,52 @@ def objective(spec: ModelSpec, params: ParamVector, data: Dataset, h: float) -> 
     return float(_sum_obs(terms, c)[0])
 
 
-def objective_rows(spec: ModelSpec, params: np.ndarray, x, y, z, counts, h: float) -> np.ndarray:
-    """objective() of G problems of the same size in one pass.
+def value_rows(spec: ModelSpec, params: np.ndarray, x, y, z, counts, h: float):
+    """The value pass of G problems of the same size: the objective, and
+    the arrays that the derivative pass at the same point needs.
 
     Row g of the G x (4 + k) params is evaluated on the observations x[g],
     y[g] and z[g] (G x n, G x n and G x n x k; or x, y and z shared by
     every row, n, n and n x k; z is None without covariates),
-    observation i counting counts[g, i] times (G x n, the
-    stacked Dataset.counts; None means once each).  A row whose
-    log-likelihood is not finite reads -inf instead of raising.  Works on
-    G x n arrays; the caller bounds G.
-    """
-    q = _sum_obs(_terms(spec.family, _theta(spec, params, x, z, h)[0], y), counts)
-    return np.where(np.isfinite(q), q, -np.inf)
-
-
-def evaluate_rows(spec: ModelSpec, params: np.ndarray, x, y, z, counts, h: float):
-    """evaluate() of G problems of the same size in one pass.
-
-    Rows, observations and counts as in objective_rows; the counts weight
-    every sum over observations.  Returns (Q, S, J, Sigma, ok), each
-    stacked over the G rows; ok[g] is False where row g's objective, score
-    or negative Hessian is not finite, and that row's values mean nothing.
-    Every sum over observations is a matrix product, so each row's numbers
-    are those of a stack of one.  Works on G x n x (4 + k) arrays; the
-    caller bounds G.
+    observation i counting counts[g, i] times (G x n, the stacked
+    Dataset.counts; None means once each).  Returns (Q, theta, seg, d_tau,
+    d_tau2): Q[g] is row g's objective(), -inf where its log-likelihood is
+    not finite, and the others are theta, the segment term and its two
+    tau-derivatives, each G x n.  The tuple is derivative_rows' values.
+    Works on G x n arrays; the caller bounds G.
     """
     theta, seg, d_tau, d_tau2 = _theta(spec, params, x, z, h)
     q = _sum_obs(_terms(spec.family, theta, y), counts)
-    b2 = params[:, 2:3]
-    D = np.empty(theta.shape + (params.shape[1],))
+    return np.where(np.isfinite(q), q, -np.inf), theta, seg, d_tau, d_tau2
+
+
+def jacobian_buffer(x, z, G: int, n_par: int) -> np.ndarray:
+    """A G x n x n_par buffer for derivative_rows: the Jacobian d theta /
+    d delta of G rows with its parameter-free columns [1, x, z] filled
+    (columns 0, 1 and 4 on; x and z as in value_rows).  Columns 2 and 3
+    depend on the parameters; derivative_rows writes them.
+    """
+    D = np.empty((G, x.shape[-1], n_par))
     D[:, :, 0] = 1.0
     D[:, :, 1] = x
-    D[:, :, 2] = seg
-    D[:, :, 3] = b2 * d_tau
     if z is not None:
         D[:, :, 4:] = z
+    return D
+
+
+def derivative_rows(spec: ModelSpec, params: np.ndarray, y, counts, values, D: np.ndarray):
+    """The derivative pass of G problems of the same size: evaluate_rows
+    from the value pass at the same params.
+
+    values is what value_rows returned for params, y and counts; D is a
+    jacobian_buffer of the same rows, whose columns 2 and 3 this pass
+    overwrites with seg and beta2 * d_tau.  Returns (Q, S, J, Sigma, ok)
+    as evaluate_rows does, Q being values' own.
+    """
+    q, theta, seg, d_tau, d_tau2 = values
+    b2 = params[:, 2:3]
+    D[:, :, 2] = seg
+    D[:, :, 3] = b2 * d_tau
     mu, w = families.mean_variance(spec.family, theta)
     r = y - mu
     if counts is not None:
@@ -344,6 +369,33 @@ def evaluate_rows(spec: ModelSpec, params: np.ndarray, x, y, z, counts, h: float
     return q, S, J, Sig, ok
 
 
+def objective_rows(spec: ModelSpec, params: np.ndarray, x, y, z, counts, h: float) -> np.ndarray:
+    """objective() of G problems of the same size in one pass: the Q of
+    value_rows, with its rows, observations and counts.  A row whose
+    log-likelihood is not finite reads -inf instead of raising.
+    """
+    return value_rows(spec, params, x, y, z, counts, h)[0]
+
+
+def evaluate_rows(spec: ModelSpec, params: np.ndarray, x, y, z, counts, h: float):
+    """evaluate() of G problems of the same size in one pass.
+
+    Rows, observations and counts as in value_rows; the counts weight
+    every sum over observations.  Returns (Q, S, J, Sigma, ok), each
+    stacked over the G rows; ok[g] is False where row g's objective, score
+    or negative Hessian is not finite, and that row's values mean nothing.
+    Every sum over observations is a matrix product, so each row's numbers
+    are those of a stack of one.  Works on G x n x (4 + k) arrays; the
+    caller bounds G.  The value pass, then the derivative pass into a new
+    jacobian_buffer; a caller that evaluates the same rows again keeps
+    the buffer and calls the two passes itself.
+    """
+    values = value_rows(spec, params, x, y, z, counts, h)
+    D = jacobian_buffer(x, z, len(params), params.shape[1])
+    return derivative_rows(spec, params, y, counts, values, D)
+
+
+@np.errstate(all="ignore")
 def evaluate(spec: ModelSpec, params: ParamVector, data: Dataset, h: float):
     """Objective, score, negated Hessian and score covariance in one pass.
 

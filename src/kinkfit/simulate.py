@@ -136,6 +136,7 @@ def generate(scenario: SimScenario, replicate_index: int) -> Dataset:
     return Dataset(x=x, y=y, z=z)
 
 
+@np.errstate(all="ignore")
 def run(scenario: SimScenario) -> SimReport:
     """Fit every replicate and aggregate.
 
@@ -145,7 +146,8 @@ def run(scenario: SimScenario) -> SimReport:
     by replicate.  Results are those of fitting each replicate alone, in
     replicate order.  Failed fits (a KinkfitError or non-convergence) are
     excluded from the moments and counted; more than 5% of them flags the
-    report degraded.
+    report degraded.  Runs with numpy's floating-point warnings off, as
+    fit does: a failed replicate is counted, not warned about.
     """
     spec = scenario.model_spec()
     truth = scenario.true_params.to_array()

@@ -25,7 +25,6 @@ from conftest import make_spec
     bandwidth=st.sampled_from(["n^-1", "n^-1.5", "n^-2", "n^-2.5", "n^-3"]),
     seed=st.integers(0, 2**32 - 1),
 )
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_fit_and_inference_raise_typed_errors_or_return_finite_values(
         family, form, k, n, levels, scale, bandwidth, seed):
     # x is drawn from `levels` equally spaced values, so small level counts

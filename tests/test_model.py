@@ -140,7 +140,6 @@ def test_objective_matches_indicator_loglik_at_tiny_h():
     assert abs(q - ln) / data.n < 1e-10
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_poisson_overflow_reports_observation():
     spec = make_spec(family=Family.POISSON_LOG, bandwidth="fixed:0.1")
     x = np.linspace(-1, 1, 10)
@@ -151,7 +150,6 @@ def test_poisson_overflow_reports_observation():
     assert exc.value.index is not None
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
 def test_overflowing_theta_is_numeric_error():
     # Finite parameters whose theta overflows: the log-likelihood check
     # reports it with the index of the first overflowing observation.

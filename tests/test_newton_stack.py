@@ -1,12 +1,12 @@
 """The stacked Newton loop: every problem of a block gets what fit gives it
 alone, bit for bit, whatever the other problems of the block do."""
 import pathlib
-import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from kinkfit import estimator, model
 from kinkfit.errors import KinkfitError, NumericError
 from kinkfit.estimator import FitResult, fit, fit_stack, profile_init, rows_per_block
 from kinkfit.families import Family, sample
@@ -81,11 +81,9 @@ def test_failing_rows_leave_the_others_unchanged():
     datasets[1] = Dataset(x=x, y=sample(Family.POISSON_LOG, theta, rng))
     starts = [ParamVector(-10.0, 0.5, -0.4, 0.3), truth, ParamVector(800.0, 0.5, -0.4, 0.3),
               truth, truth, truth]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        entries = fit_stack(spec, *stack(datasets), starts)
-        for entry, data, start in zip(entries, datasets, starts):
-            assert_same_as_alone(entry, spec, data, start)
+    entries = fit_stack(spec, *stack(datasets), starts)
+    for entry, data, start in zip(entries, datasets, starts):
+        assert_same_as_alone(entry, spec, data, start)
     assert entries[0].iterations == 100 and not entries[0].converged
     assert isinstance(entries[1], FitResult) and not entries[1].converged
     assert isinstance(entries[2], KinkfitError)
@@ -129,12 +127,158 @@ def test_non_finite_curvature_after_an_accepted_step():
     bad = ParamVector(0.2, 1.8, -2.3, 0.4)
     starts = [truth, bad, truth]
     evaluate(spec, bad, datasets[1], 1e-308)  # finite at the start
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        entries = fit_stack(spec, *stack(datasets), starts)
-        for entry, data, start in zip(entries, datasets, starts):
-            assert_same_as_alone(entry, spec, data, start)
-        with pytest.raises(NumericError):
-            fit(spec, datasets[1], init=bad)
+    entries = fit_stack(spec, *stack(datasets), starts)
+    for entry, data, start in zip(entries, datasets, starts):
+        assert_same_as_alone(entry, spec, data, start)
+    with pytest.raises(NumericError):
+        fit(spec, datasets[1], init=bad)
     assert isinstance(entries[1], NumericError)
     assert all(isinstance(entries[g], FitResult) for g in (0, 2))
+
+
+class PassLog:
+    """Records the model passes of fits as (kind, rows, shared): "V" for a
+    value pass, "D" for a derivative pass, the rows of each, and for a
+    derivative pass whether its arrays are those of the last value pass,
+    not copies.  Counts segment_term calls, and the parameter rows that a
+    value pass evaluates again (revisits).
+
+    The first value pass of a Newton loop evaluates the start; every later
+    one is a trial of the step halving, and every derivative pass after
+    the first ends an iteration with an accepted step.  A trial is a new
+    point, so with no revisits the value passes count the trials.
+    """
+
+    def __init__(self, monkeypatch):
+        self.events, self.segment_terms, self.last = [], 0, None
+        self.seen, self.revisits = set(), 0
+        value, derivative, segment = (
+            estimator.value_rows, estimator.derivative_rows, model.segment_term)
+
+        def value_pass(spec, params, *args):
+            points = {row.tobytes() for row in params}
+            self.revisits += len(points & self.seen)
+            self.seen |= points
+            self.last = value(spec, params, *args)
+            self.events.append(("V", len(self.last[0]), None))
+            return self.last
+
+        def derivative_pass(spec, params, y, counts, values, D):
+            shared = all(np.shares_memory(a, b) for a, b in zip(self.last[1:], values[1:]))
+            self.events.append(("D", len(params), shared))
+            return derivative(spec, params, y, counts, values, D)
+
+        def segment_term(*args):
+            self.segment_terms += 1
+            return segment(*args)
+
+        monkeypatch.setattr(estimator, "value_rows", value_pass)
+        monkeypatch.setattr(estimator, "derivative_rows", derivative_pass)
+        monkeypatch.setattr(model, "segment_term", segment_term)
+
+    def kinds(self):
+        return "".join(kind for kind, _, _ in self.events)
+
+    def iterations(self):
+        """Per iteration with an accepted step: the rows of its trials and
+        of its derivative pass."""
+        out, trials = [], []
+        for kind, rows, _ in self.events[2:]:
+            if kind == "V":
+                trials.append(rows)
+            else:
+                out.append((trials, rows))
+                trials = []
+        return out
+
+    def accepts_at_different_halvings(self):
+        """Whether in some iteration rows left the search at the first
+        trial while the derivative pass takes more rows than that: rows
+        accepted at the first trial and at a later one."""
+        return any(len(trials) >= 2 and 0 < trials[0] - trials[1] < accepted
+                   for trials, accepted in self.iterations())
+
+
+def test_one_fit_runs_one_model_pass_per_trial(monkeypatch):
+    # Poisson quadratic-linear with two covariates, warm started: the
+    # segment term is computed once for the start and once per trial; an
+    # accepted trial's value pass goes on to the derivative pass as it is.
+    spec = make_spec(family=Family.POISSON_LOG, form="quadratic-linear", n_covariates=2)
+    truth = ParamVector(1.0, 0.5, -0.4, 0.3, (0.3, -0.2))
+    data = make_data(spec, params=truth, n=2000, seed=5)
+    start = ParamVector(0.8, 0.6, -0.3, 0.1, (0.2, -0.1))
+    log = PassLog(monkeypatch)
+    res = fit(spec, data, init=start)
+    assert res.converged and res.iterations >= 3
+    kinds = log.kinds()
+    trials = kinds.count("V") - 1
+    assert kinds.startswith("VD") and trials >= res.iterations and log.revisits == 0
+    assert log.segment_terms == kinds.count("V") == 1 + trials
+    assert kinds.count("D") >= res.iterations  # the start's, and one per accepted step
+    assert all(shared for kind, _, shared in log.events if kind == "D")  # no copies
+
+
+def test_a_block_runs_one_model_pass_per_trial(monkeypatch):
+    # table2's first 32 replicates (logit, n = 500, seed 1), one block,
+    # whose rows accept at different halvings.
+    sc = replace(load_scenario(SCENARIOS / "table2.scenario"), seed=1)
+    spec = sc.model_spec()
+    datasets = [generate(sc, r) for r in range(32)]
+    starts = [profile_init(spec, d) for d in datasets]
+    log = PassLog(monkeypatch)
+    entries = fit_stack(spec, *stack(datasets), starts)
+    assert sum(isinstance(e, FitResult) and e.converged for e in entries) >= 30
+    kinds = log.kinds()
+    trials = kinds.count("V") - 1
+    assert kinds.startswith("VD") and trials > 0 and log.revisits == 0
+    assert log.segment_terms == kinds.count("V") == 1 + trials
+    assert log.accepts_at_different_halvings()
+    for entry, data in zip(entries, datasets):
+        if isinstance(entry, FitResult):
+            assert_kept_pass_is_fresh(spec, entry, data)
+
+
+TRUTHS = {
+    Family.NORMAL_IDENTITY: ParamVector(2.0, 3.0, -5.0, 0.5, (1.0,)),
+    Family.BERNOULLI_LOGIT: ParamVector(0.5, 1.0, -2.0, 0.3, (0.5,)),
+    Family.POISSON_LOG: ParamVector(1.0, 0.5, -0.4, 0.3, (0.3,)),
+}
+
+
+def assert_kept_pass_is_fresh(spec, res, data):
+    q, _, J, Sig = evaluate(spec, res.params, data, res.h_used)
+    assert res.objective_value == q
+    np.testing.assert_array_equal(res.neg_hessian_at_opt, J)
+    np.testing.assert_array_equal(res.score_cov_at_opt, Sig)
+
+
+@pytest.mark.parametrize("counted", [False, True])
+@pytest.mark.parametrize("form", ["linear-linear", "linear-quadratic", "quadratic-linear"])
+@pytest.mark.parametrize("family", list(Family))
+def test_kept_value_pass_matches_a_fresh_evaluation(family, form, counted):
+    # What a fit returns was computed from its last accepted trial's value
+    # pass; evaluate at the returned parameters computes it afresh.  The
+    # two agree bit for bit, alone and in a 32-row block whose rows start
+    # at different distances from their optimum (every one of these blocks
+    # has rows that accept at different halvings).
+    spec = make_spec(family=family, form=form, bandwidth="n^-1", n_covariates=1)
+    truth = TRUTHS[family]
+    rng = np.random.default_rng(17)
+    n = 150
+    base_counts = rng.integers(1, 4, n)
+    datasets, starts = [], []
+    for s in range(32):
+        data = make_data(spec, params=truth, n=n, seed=s)
+        if counted:
+            data = Dataset(data.x, data.y, data.z, rng.permutation(base_counts))
+        start = truth.to_array() * (1.0 + rng.uniform(-0.3, 0.3, 5))
+        start[3] = truth.tau + rng.uniform(-0.4, 0.4)
+        datasets.append(data)
+        starts.append(ParamVector.from_array(start))
+    assert_kept_pass_is_fresh(spec, fit(spec, datasets[0], init=starts[0]), datasets[0])
+    counts = np.stack([d.counts for d in datasets]) if counted else None
+    entries = fit_stack(spec, *stack(datasets), starts, counts)
+    results = [(e, d) for e, d in zip(entries, datasets) if isinstance(e, FitResult)]
+    assert len(results) >= 24
+    for entry, data in results:
+        assert_kept_pass_is_fresh(spec, entry, data)

@@ -118,7 +118,7 @@ def test_non_finite_smoothed_objective_of_a_candidate_is_a_numeric_error():
     )
     spec = make_spec(kernel=kernel, bandwidth="fixed:0.01")
     data = make_data(spec, seed=33)
-    with np.errstate(invalid="ignore"), pytest.raises(NumericError):
+    with pytest.raises(NumericError):
         profile_init(spec, data, tau_grid=(-1.0, 0.5, 1.0))
 
 
