@@ -1,6 +1,7 @@
 """Hash the benchmark workloads' outputs in one or more checkouts.
 
     python3 scripts/fingerprints.py PARENT CHANGE
+    python3 scripts/fingerprints.py PARENT CHANGE --diff
 
 Each CHECKOUT is a checkout of the repository (a clean one, made with
 ``git clone`` or ``git archive``).  For each workload and seed below, the
@@ -19,6 +20,16 @@ is the same for all of them; since that directory is new on each run,
 the ``cli_boot_poisson`` hashes differ from run to run, so compare the
 columns of one run.  Nothing is written into the checkouts.
 
+With ``--diff``, every case whose hashes differ is also sized: for each
+reported array it prints the largest absolute and relative difference
+between the first checkout and each other one.  The arrays are the study
+report's counts, ``mean``, ``median``, ``sd``, ``avg_se_prop1``,
+``avg_se_delta``, the coverages and ``estimates`` (``sim_logit``), and the
+CLI's exit code and the numbers of its JSON output, grouped by key path
+(``cli_boot_poisson``).  The relative difference of two values is
+|a - b| / max(|a|, |b|); a NaN in one column and not the other reads as
+an infinite difference.
+
 Uses the standard library only; the workloads use numpy.
 """
 
@@ -26,6 +37,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -37,25 +49,51 @@ CASES = [("sim_logit", 1), ("sim_logit", 7919),
          ("cli_boot_poisson", 7), ("cli_boot_poisson", 7919)]
 
 # Run in the checkout's subprocess: argv is (checkout, workdir, cases as JSON);
-# prints one JSON line per case.
+# prints one JSON line per case: [name, seed, sha256, {array name: values}].
 CHILD = """
 import hashlib, json, sys
 from pathlib import Path
+import numpy as np
 checkout, workdir, cases = Path(sys.argv[1]), sys.argv[2], json.loads(sys.argv[3])
 sys.path[:0] = [str(checkout / "src"), str(checkout / "perfbench")]
 import kinkfit, workloads
 if Path(kinkfit.__file__).resolve().parent != (checkout / "src" / "kinkfit").resolve():
     raise SystemExit(f"kinkfit imported from {kinkfit.__file__}, not from {checkout}")
+REPORT = ("n_failed_fits", "n_converged", "degraded", "mean", "median", "sd",
+          "avg_se_prop1", "avg_se_delta", "coverage_normal_pct",
+          "coverage_bootstrap_pct", "estimates")
+
+def numbers(node, path, out):
+    if isinstance(node, dict):
+        for key, value in node.items():
+            numbers(value, f"{path}.{key}" if path else key, out)
+    elif isinstance(node, list):
+        for value in node:
+            numbers(value, path, out)
+    elif isinstance(node, (int, float)) and not isinstance(node, bool):
+        out.setdefault(path, []).append(float(node))
+
+def arrays(output):
+    if hasattr(output, "estimates"):
+        return {k: np.asarray(getattr(output, k), dtype=float).ravel().tolist()
+                for k in REPORT if getattr(output, k) is not None}
+    out = {"code": [float(output.code)]}
+    if output.code == 0:
+        numbers(json.loads(output.stdout), "", out)
+    return out
+
 for name, seed in cases:
     wl = workloads.WORKLOADS[name]()
     wl.prepare(seed, workdir)
-    digest = hashlib.sha256(wl.fingerprint(wl.call()).encode()).hexdigest()
-    print(json.dumps([name, seed, digest]), flush=True)
+    output = wl.call()
+    digest = hashlib.sha256(wl.fingerprint(output).encode()).hexdigest()
+    print(json.dumps([name, seed, digest, arrays(output)]), flush=True)
 """
 
 
-def hashes(checkout: Path, workdir: str) -> dict:
-    """{(workload, seed): sha256} of one checkout, run in a subprocess."""
+def run_cases(checkout: Path, workdir: str) -> dict:
+    """{(workload, seed): (sha256, {array name: values})} of one checkout,
+    run in a subprocess."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.run(
         [sys.executable, "-c", CHILD, str(checkout), workdir, json.dumps(CASES)],
@@ -65,26 +103,61 @@ def hashes(checkout: Path, workdir: str) -> dict:
         raise SystemExit(f"{checkout}: exit {proc.returncode}\n{proc.stderr}")
     out = {}
     for line in proc.stdout.splitlines():
-        name, seed, digest = json.loads(line)
-        out[name, seed] = digest
+        name, seed, digest, values = json.loads(line)
+        out[name, seed] = digest, values
     return out
+
+
+def largest_differences(a: list, b: list) -> tuple:
+    """(largest |a - b|, largest |a - b| / max(|a|, |b|)) over two equally
+    long lists; a NaN in only one of a pair counts as an infinite
+    difference."""
+    abs_d = rel_d = 0.0
+    for u, v in zip(a, b):
+        if math.isnan(u) or math.isnan(v):
+            d = 0.0 if math.isnan(u) and math.isnan(v) else math.inf
+            abs_d, rel_d = max(abs_d, d), max(rel_d, d)
+            continue
+        if u == v:
+            continue
+        d = abs(u - v)
+        abs_d = max(abs_d, d)
+        rel_d = max(rel_d, d / max(abs(u), abs(v)) if math.isfinite(d) else math.inf)
+    return abs_d, rel_d
+
+
+def print_differences(first: dict, other: dict, label: str) -> None:
+    """One line per array of a case: its largest differences from first."""
+    for name in sorted(set(first) | set(other)):
+        a, b = first.get(name), other.get(name)
+        if a is None or b is None or len(a) != len(b):
+            sizes = ["absent" if v is None else str(len(v)) for v in (a, b)]
+            print(f"    {label} {name:<34} sizes differ: {sizes[0]} against {sizes[1]}")
+            continue
+        abs_d, rel_d = largest_differences(a, b)
+        print(f"    {label} {name:<34} max abs {abs_d:.3g}  max rel {rel_d:.3g}")
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("checkouts", type=Path, nargs="+", metavar="CHECKOUT")
+    ap.add_argument("--diff", action="store_true",
+                    help="size the differences of every case whose hashes differ")
     args = ap.parse_args(argv)
     checkouts = [c.resolve() for c in args.checkouts]
     with tempfile.TemporaryDirectory(prefix="kinkfit-fingerprints-") as workdir:
-        columns = [hashes(c, workdir) for c in checkouts]
+        columns = [run_cases(c, workdir) for c in checkouts]
     for i, c in enumerate(checkouts):
         print(f"[{i}] {c}")
     print(f"{'workload':<18}{'seed':>6}  same  "
           + "  ".join(f"{f'[{i}] sha256':<64}" for i in range(len(columns))))
     for case in CASES:
-        digests = [col[case] for col in columns]
-        same = "yes" if len(set(digests)) == 1 else "NO"
-        print(f"{case[0]:<18}{case[1]:>6}  {same:<4}  " + "  ".join(digests))
+        digests = [col[case][0] for col in columns]
+        same = len(set(digests)) == 1
+        print(f"{case[0]:<18}{case[1]:>6}  {'yes' if same else 'NO':<4}  " + "  ".join(digests))
+        if args.diff and not same:
+            for i, col in enumerate(columns[1:], start=1):
+                print_differences(columns[0][case][1], col[case][1], f"[0]->[{i}]")
     return 0
 
 

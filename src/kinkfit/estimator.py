@@ -20,9 +20,10 @@ an accepted trial's arrays go on to the derivative pass
 accepted or not, and the Jacobian's parameter-free columns are filled
 once per call.
 
-fit, fit_stack and profile_init run with numpy's floating-point warnings
-off: every value that is not finite meets a typed check (a -inf trial, a
-_NUMERIC status, a NumericError) instead of a RuntimeWarning.
+fit, fit_stack, profile_init, glm_irls and linearized_fit run with
+numpy's floating-point warnings off: every value that is not finite meets
+a typed check (a -inf trial, a _NUMERIC status, a NumericError) instead of
+a RuntimeWarning.
 
 A one-step linearized refit is also provided: at a frozen working change
 point it turns the model into an ordinary GLM in constructed regressors,
@@ -173,10 +174,15 @@ def _irls(family: Family, C: np.ndarray, T: np.ndarray, y: np.ndarray):
     Normal/identity is exact least squares in one solve without ridge; the
     other families add a 1e-12 ridge to each Newton system, diverge when a
     coefficient is non-finite or above 1e8, and converge when the largest
-    step is below _IRLS_TOL.
+    step is below _IRLS_TOL.  Each step makes one families.mean_variance
+    pass (one exp for the logit and Poisson families).  With one differing
+    column (m = 1, every profile_init block) that column's part of eta is
+    a broadcast product, bit-identical to the stacked matmul used for
+    m > 1.
     """
     n, q = C.shape
-    p = q + T.shape[2]
+    m = T.shape[2]
+    p = q + m
     normal = family is Family.NORMAL_IDENTITY
     ridge = 0.0 if normal else 1e-12 * np.eye(p)
     CC = (C[:, :, None] * C[:, None, :]).reshape(n, q * q)
@@ -187,7 +193,9 @@ def _irls(family: Family, C: np.ndarray, T: np.ndarray, y: np.ndarray):
     active, b, t = np.arange(len(T)), beta.copy(), T
     for _ in range(1 if normal else _IRLS_MAX_ITER):
         tt = t.transpose(0, 2, 1)
-        eta = b[:, :q] @ C.T + np.matmul(t, b[:, q:, None])[:, :, 0]
+        # One candidate column: a broadcast product, exact as a one-term sum.
+        tb = t[:, :, 0] * b[:, q:] if m == 1 else np.matmul(t, b[:, q:, None])[:, :, 0]
+        eta = b[:, :q] @ C.T + tb
         mu, w = families.mean_variance(family, eta)
         r = y - mu
         wtt = tt if normal else (w[:, :, None] * t).transpose(0, 2, 1)  # normal: w = 1
@@ -214,6 +222,7 @@ def _irls(family: Family, C: np.ndarray, T: np.ndarray, y: np.ndarray):
     return beta, gram, status
 
 
+@np.errstate(all="ignore")
 def glm_irls(family: Family, X: np.ndarray, y: np.ndarray):
     """Newton (IRLS) fit of a natural-link GLM.
 
@@ -598,6 +607,7 @@ def fit_beta_given_tau(spec: ModelSpec, data: Dataset, tau: float, h: float) -> 
     return beta
 
 
+@np.errstate(all="ignore")
 def linearized_fit(spec: ModelSpec, data: Dataset, tau0: float) -> LinearizedFit:
     """Ordinary GLM in the constructed regressors of the one-step
     approximation around tau0.

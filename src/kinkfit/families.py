@@ -8,6 +8,11 @@ at unit dispersion.
 ``cumulant``, ``mean`` and ``mean_variance`` take theta unchecked; the model's
 log-likelihood reports a non-finite theta or b(theta) as NumericError.
 ``sample`` checks theta, which it gets from scenario values.
+
+The profile scan's IRLS and the Newton ascent's derivative pass take their
+mean and variance from ``mean_variance``, whose logit branch is one numpy
+``exp`` pass plus arithmetic.  ``mean`` and ``sample`` keep scipy's
+``expit``, so the generated replicates keep their bits.
 """
 
 from __future__ import annotations
@@ -68,15 +73,21 @@ def mean(family: Family, theta):
 def mean_variance(family: Family, theta):
     """Mean b'(theta) and variance function b''(theta) >= 0 in one pass.
 
-    For the logit family the variance is expit(theta) * expit(-theta),
-    which stays positive (rather than flushing to 0) far into the tails;
-    the mean's expit is reused, so the pair costs two expit passes.
+    For the logit family, with e = exp(-max(theta, -709)), the mean is
+    p = 1 / (1 + e) and the variance p * (e * p), i.e. expit(theta) *
+    expit(-theta), in one exp pass.  The clip keeps e finite, so neither
+    value is ever NaN for a non-NaN theta: below theta = -709 both read
+    about 1.2e-308 instead of their true, smaller values.  The variance
+    stays positive far into the upper tail, where it equals e, until e
+    underflows to 0 near theta = 745; p * (1 - p) would flush to 0 above
+    about 37.  For |theta| <= 700 both are within a few ulp of expit's.
     """
     if family is Family.NORMAL_IDENTITY:
         return theta + 0.0, np.ones_like(theta)
     if family is Family.BERNOULLI_LOGIT:
-        p = expit(theta)
-        return p, p * expit(-theta)
+        e = np.exp(-np.maximum(theta, -709.0))
+        p = 1.0 / (1.0 + e)
+        return p, p * (e * p)
     m = np.exp(theta)
     return m, m
 

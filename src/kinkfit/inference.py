@@ -31,6 +31,11 @@ __all__ = [
 ]
 
 
+# sandwich_cov refuses an information matrix whose reciprocal condition
+# number (1-norm) is below this: at machine epsilon its inverse is noise.
+_RCOND_MIN = float(np.finfo(float).eps)
+
+
 @dataclass(frozen=True)
 class InferenceResult:
     cov_sandwich: np.ndarray
@@ -54,7 +59,10 @@ def sandwich_cov(fit_result: FitResult) -> np.ndarray:
     stable reading and is what the normal-theory intervals use.
 
     The inverse comes from the Cholesky factor L of the information:
-    cov = L^-T L^-1, so every variance is a sum of squares.
+    cov = L^-T L^-1, so every variance is a sum of squares.  An information
+    matrix that is not positive definite, or whose reciprocal condition
+    number 1 / (||Sigma||_1 ||cov||_1) is below machine epsilon, raises
+    InferenceError: its inverse would be round-off, not a covariance.
     """
     if not fit_result.converged:
         raise InferenceError("fit did not converge; covariance unavailable")
@@ -67,7 +75,13 @@ def sandwich_cov(fit_result: FitResult) -> np.ndarray:
     # because a Cholesky factor has a positive diagonal.  (With scipy 1.17
     # on 2 cores, solve_triangular(L, I) took about 7 ms a call; this 2 us.)
     L_inv = lapack.dtrtri(L, lower=1)[0]
-    return L_inv.T @ L_inv
+    cov = L_inv.T @ L_inv
+    rcond = 1.0 / (np.abs(Sig).sum(axis=0).max() * np.abs(cov).sum(axis=0).max())
+    if not rcond >= _RCOND_MIN:
+        raise InferenceError(
+            f"information matrix numerically singular (reciprocal condition number {rcond:.1e})"
+        )
+    return cov
 
 
 def delta_se_tau(lin: LinearizedFit) -> float:
@@ -161,6 +175,7 @@ def bootstrap_ci(
     return _percentile_interval(draws, level), draws.shape[0]
 
 
+@np.errstate(all="ignore")
 def run_inference(
     spec: ModelSpec,
     data: Dataset,
@@ -170,7 +185,8 @@ def run_inference(
     seed=0,
 ) -> InferenceResult:
     """Assemble all inference outputs for a converged fit.  Counted data
-    (Dataset.counts) raise DataError."""
+    (Dataset.counts) raise DataError.  Runs with numpy's floating-point
+    warnings off, as fit does."""
     data.require_uncounted("run_inference")
     cov = sandwich_cov(fit_result)
     se = np.sqrt(np.diag(cov))

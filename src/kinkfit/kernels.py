@@ -112,13 +112,19 @@ def eval_kernel(kernel: Kernel, u):
     derivatives are 0; only the points inside that window reach the
     kernel's callables.  u is not checked: a NaN counts as inside, so it
     propagates into K and the model's log-likelihood check reports it.
+    The outputs are arrays of u's shape, 0-d for a scalar u.
     """
-    u = np.asarray(u, dtype=float)
-    inside = ~(np.abs(u) > CLAMP)
-    ui = u[inside]
-    kv, kpv, kppv = np.where(u > 0.0, 1.0, 0.0), np.zeros_like(u), np.zeros_like(u)
-    kv[inside], kpv[inside], kppv[inside] = kernel.k(ui), kernel.kp(ui), kernel.kpp(ui)
-    return kv, kpv, kppv
+    u = np.asarray(u, dtype=float, order="C")
+    flat = u.reshape(-1)
+    kv = (flat > 0.0).astype(float)
+    kpv, kppv = np.zeros(flat.size), np.zeros(flat.size)
+    # Write only the inside points, by index: at small bandwidths they are
+    # a tiny share of u, and full-array masks cost more than the kernel.
+    idx = np.flatnonzero(~(np.abs(flat) > CLAMP))
+    if idx.size:
+        ui = flat[idx]
+        kv[idx], kpv[idx], kppv[idx] = kernel.k(ui), kernel.kp(ui), kernel.kpp(ui)
+    return kv.reshape(u.shape), kpv.reshape(u.shape), kppv.reshape(u.shape)
 
 
 @dataclass(frozen=True)

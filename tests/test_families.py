@@ -1,7 +1,10 @@
 """Exponential-family primitives: values, derivative relations, sampling."""
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.special import expit
 
 from kinkfit.errors import DomainError
 from kinkfit.families import Family, cumulant, in_support, mean_variance, parse_family, sample
@@ -32,6 +35,36 @@ def test_logit_cumulant_stable_in_tails():
     assert cumulant(Family.BERNOULLI_LOGIT, 50.0) == pytest.approx(expected, rel=1e-15)
     v = mean_variance(Family.BERNOULLI_LOGIT, 40.0)[1]
     assert v == pytest.approx(np.exp(-40.0), rel=1e-10)
+
+
+def test_logit_mean_variance_matches_expit():
+    # One exp pass against scipy's expit, to a few ulp, wherever neither
+    # value is subnormal.
+    theta = np.concatenate([np.linspace(-700.0, 700.0, 200_001), [-37.5, 0.0, 36.9, 40.0]])
+    m, v = mean_variance(Family.BERNOULLI_LOGIT, theta)
+    np.testing.assert_allclose(m, expit(theta), rtol=2e-15, atol=0)
+    np.testing.assert_allclose(v, expit(theta) * expit(-theta), rtol=2e-15, atol=0)
+
+
+def test_logit_mean_variance_in_the_far_tails():
+    theta = np.array([-1e4, -800.0, -745.0, 745.0, 800.0, 1e4])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        m, v = mean_variance(Family.BERNOULLI_LOGIT, theta)
+        scalar = mean_variance(Family.BERNOULLI_LOGIT, -800.0)
+    assert np.all(np.isfinite(m)) and np.all(np.isfinite(v))
+    assert np.all((m >= 0.0) & (m <= 1.0)) and np.all(v >= 0.0)
+    np.testing.assert_array_equal(m[3:], 1.0)
+    assert m[:3].max() < 1e-300
+    assert all(np.isfinite(part) for part in scalar)
+
+
+def test_logit_sample_draws_against_expit():
+    # Replicates keep their bits: a draw is exactly rng.random(...) < expit.
+    theta = np.random.default_rng(3).normal(0.0, 4.0, (7, 300))
+    y = sample(Family.BERNOULLI_LOGIT, theta, np.random.default_rng(11))
+    ref = (np.random.default_rng(11).random(theta.shape) < expit(theta)).astype(float)
+    np.testing.assert_array_equal(y, ref)
 
 
 @pytest.mark.parametrize("family", ALL)

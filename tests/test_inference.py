@@ -59,19 +59,35 @@ def test_sandwich_cov_requires_convergence():
 
 
 @pytest.mark.parametrize("seed", [5, 109])
-def test_covariance_of_near_singular_information_has_nonnegative_variances(seed):
+def test_covariance_of_near_singular_information_is_an_inference_error(seed):
     # Found by fuzzing small datasets: with x in the hundreds the fit ends
-    # with an information matrix of condition number about 1e34.  Its
-    # Cholesky factor exists, but a general inverse raised LinAlgError
-    # (seed 5) or gave negative variances (seed 109).
+    # with an information matrix of condition number about 1e33.  Whether
+    # its Cholesky factor exists depends on the last bits of the fit; an
+    # inverse of either would be round-off, so both outcomes must raise.
     spec = make_spec(family=Family.BERNOULLI_LOGIT, form="quadratic-linear")
     rng = np.random.default_rng(seed)
     x = np.round(rng.uniform(-300.0, 300.0, 30), 1)
     y = (rng.random(30) < 0.3).astype(float)
     res = fit(spec, Dataset(x=x, y=y))
     assert res.converged and np.linalg.cond(res.score_cov_at_opt) > 1e30
-    cov = sandwich_cov(res)
-    assert np.all(np.isfinite(cov)) and np.all(np.diag(cov) >= 0)
+    with pytest.raises(InferenceError):
+        sandwich_cov(res)
+
+
+@pytest.mark.parametrize("cond, ok", [(1e3, True), (1e12, True), (1e17, False), (1e20, False)])
+def test_covariance_refuses_an_ill_conditioned_information(cond, ok):
+    # A positive definite information with the given condition number,
+    # whose Cholesky factor exists: the threshold alone decides.
+    _, _, res = fitted(seed=2)
+    q, _ = np.linalg.qr(np.random.default_rng(0).normal(size=(4, 4)))
+    sig = (q * np.geomspace(1.0, 1.0 / cond, 4)) @ q.T
+    np.linalg.cholesky(sig)
+    ill = type(res)(**{**res.__dict__, "score_cov_at_opt": sig})
+    if ok:
+        np.testing.assert_allclose(sandwich_cov(ill) @ sig, np.eye(4), atol=1e-9 * cond)
+    else:
+        with pytest.raises(InferenceError, match="numerically singular"):
+            sandwich_cov(ill)
 
 
 def test_sandwich_cov_tracks_sampling_variance():

@@ -64,6 +64,34 @@ def test_normal_cdf_values():
     assert kv1 == pytest.approx(ndtr(1.0))
 
 
+def masked_eval_kernel(kernel, u):
+    """eval_kernel by full-array masks: the reference form."""
+    u = np.asarray(u, dtype=float)
+    inside = ~(np.abs(u) > CLAMP)
+    ui = u[inside]
+    kv, kpv, kppv = np.where(u > 0.0, 1.0, 0.0), np.zeros_like(u), np.zeros_like(u)
+    kv[inside], kpv[inside], kppv[inside] = kernel.k(ui), kernel.kp(ui), kernel.kpp(ui)
+    return kv, kpv, kppv
+
+
+@pytest.mark.parametrize("kernel", [normal_cdf_kernel(), exp_cdf_kernel()], ids=["normal", "exp"])
+@pytest.mark.parametrize("u", [
+    0.0,
+    2.5e4,
+    np.array(-CLAMP),
+    np.array([-5e3, 2e3, 1e9, -np.inf, np.inf]),
+    np.array([[-3.0, 0.0, 1e4], [CLAMP, -CLAMP, 0.7]]),
+    np.array([np.nan, 0.2, -2e3, np.nan]),
+    np.linspace(-2e3, 2e3, 41)[::2],
+], ids=["0-d inside", "0-d outside", "0-d at -CLAMP", "all outside", "mixed 2-d", "nan",
+        "strided"])
+def test_eval_kernel_matches_masked_form(kernel, u):
+    got, want = eval_kernel(kernel, u), masked_eval_kernel(kernel, u)
+    for g, w in zip(got, want):
+        assert isinstance(g, np.ndarray) and g.shape == np.shape(u)
+        np.testing.assert_array_equal(g, w)
+
+
 def test_exp_cdf_values():
     k = exp_cdf_kernel()
     kv, kpv, kppv = eval_kernel(k, np.array([-1.0, 0.0, 1.0]))
