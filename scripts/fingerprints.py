@@ -1,7 +1,6 @@
 """Hash the benchmark workloads' outputs in one or more checkouts.
 
     python3 scripts/fingerprints.py PARENT CHANGE
-    python3 scripts/fingerprints.py PARENT CHANGE --diff
 
 Each CHECKOUT is a checkout of the repository (a clean one, made with
 ``git clone`` or ``git archive``).  For each workload and seed below, the
@@ -20,12 +19,12 @@ is the same for all of them; since that directory is new on each run,
 the ``cli_boot_poisson`` hashes differ from run to run, so compare the
 columns of one run.  Nothing is written into the checkouts.
 
-With ``--diff``, every case whose hashes differ is also sized: for each
-reported array it prints the largest absolute and relative difference
-between the first checkout and each other one.  The arrays are the study
-report's counts, ``mean``, ``median``, ``sd``, ``avg_se_prop1``,
-``avg_se_delta``, the coverages and ``estimates`` (``sim_logit``), and the
-CLI's exit code and the numbers of its JSON output, grouped by key path
+Every case whose hashes differ is also sized: for each reported array it
+prints the largest absolute and relative difference between the first
+checkout and each other one.  The arrays are the study report's counts,
+``mean``, ``median``, ``sd``, ``avg_se_prop1``, ``avg_se_delta``, the
+coverages and ``estimates`` (``sim_logit``), and the CLI's exit code and
+the numbers of its JSON output, grouped by key path
 (``cli_boot_poisson``).  The relative difference of two values is
 |a - b| / max(|a|, |b|); a NaN in one column and not the other reads as
 an infinite difference.
@@ -141,8 +140,6 @@ def print_differences(first: dict, other: dict, label: str) -> None:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("checkouts", type=Path, nargs="+", metavar="CHECKOUT")
-    ap.add_argument("--diff", action="store_true",
-                    help="size the differences of every case whose hashes differ")
     args = ap.parse_args(argv)
     checkouts = [c.resolve() for c in args.checkouts]
     with tempfile.TemporaryDirectory(prefix="kinkfit-fingerprints-") as workdir:
@@ -155,7 +152,7 @@ def main(argv=None) -> int:
         digests = [col[case][0] for col in columns]
         same = len(set(digests)) == 1
         print(f"{case[0]:<18}{case[1]:>6}  {'yes' if same else 'NO':<4}  " + "  ".join(digests))
-        if args.diff and not same:
+        if not same:
             for i, col in enumerate(columns[1:], start=1):
                 print_differences(columns[0][case][1], col[case][1], f"[0]->[{i}]")
     return 0

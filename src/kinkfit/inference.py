@@ -32,7 +32,8 @@ __all__ = [
 
 
 # sandwich_cov refuses an information matrix whose reciprocal condition
-# number (1-norm) is below this: at machine epsilon its inverse is noise.
+# number (1-norm, after scaling to unit diagonal) is below this: at
+# machine epsilon its inverse is noise.
 _RCOND_MIN = float(np.finfo(float).eps)
 
 
@@ -61,8 +62,13 @@ def sandwich_cov(fit_result: FitResult) -> np.ndarray:
     The inverse comes from the Cholesky factor L of the information:
     cov = L^-T L^-1, so every variance is a sum of squares.  An information
     matrix that is not positive definite, or whose reciprocal condition
-    number 1 / (||Sigma||_1 ||cov||_1) is below machine epsilon, raises
-    InferenceError: its inverse would be round-off, not a covariance.
+    number is below machine epsilon, raises InferenceError: its inverse
+    would be round-off, not a covariance.  The condition number is that of
+    the correlation form D Sigma D, D = diag(Sigma)^-1/2, whose inverse is
+    D^-1 cov D^-1: rescaling x or a covariate rescales the rows and columns
+    of Sigma, which moves the plain condition number by powers of the
+    scale but leaves this one, and the accuracy of the Cholesky inverse,
+    unchanged (van der Sluis).
     """
     if not fit_result.converged:
         raise InferenceError("fit did not converge; covariance unavailable")
@@ -76,7 +82,9 @@ def sandwich_cov(fit_result: FitResult) -> np.ndarray:
     # on 2 cores, solve_triangular(L, I) took about 7 ms a call; this 2 us.)
     L_inv = lapack.dtrtri(L, lower=1)[0]
     cov = L_inv.T @ L_inv
-    rcond = 1.0 / (np.abs(Sig).sum(axis=0).max() * np.abs(cov).sum(axis=0).max())
+    s = np.sqrt(np.diag(Sig))
+    d = 1.0 / s
+    rcond = 1.0 / ((d * (d @ np.abs(Sig))).max() * (s * (s @ np.abs(cov))).max())
     if not rcond >= _RCOND_MIN:
         raise InferenceError(
             f"information matrix numerically singular (reciprocal condition number {rcond:.1e})"

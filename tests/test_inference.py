@@ -90,6 +90,25 @@ def test_covariance_refuses_an_ill_conditioned_information(cond, ok):
             sandwich_cov(ill)
 
 
+@pytest.mark.parametrize("form, power", [("linear-linear", 1), ("quadratic-linear", 2)])
+def test_covariance_of_rescaled_x_is_the_rescaled_covariance(form, power):
+    # x in units 1e4 times smaller, bandwidth with it: the same fit, with
+    # beta1 / s, beta2 / s**power and tau * s.  Its information spans about
+    # 1e25 in scale, which the conditioning check must not read as
+    # singularity.
+    s, h = 1e4, 400.0 ** -2
+    spec = make_spec(family=Family.BERNOULLI_LOGIT, form=form)
+    data = make_data(spec, n=400, seed=2)
+    res = fit(make_spec(family=Family.BERNOULLI_LOGIT, form=form, bandwidth=f"fixed:{h!r}"), data)
+    spec_s = make_spec(family=Family.BERNOULLI_LOGIT, form=form, bandwidth=f"fixed:{h * s!r}")
+    data_s = Dataset(x=data.x * s, y=data.y)
+    res_s = fit(spec_s, data_s)
+    assert res.converged and res_s.converged
+    se = run_inference(spec_s, data_s, res_s).se_sandwich
+    scale = np.array([1.0, 1.0 / s, s ** -power, s])
+    np.testing.assert_allclose(se, sandwich_cov(res).diagonal() ** 0.5 * scale, rtol=1e-7)
+
+
 def test_sandwich_cov_tracks_sampling_variance():
     # average estimated SE should sit near the Monte Carlo SD of the
     # estimates over independent replicates
