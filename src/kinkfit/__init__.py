@@ -15,8 +15,8 @@ from .kernels import (
     parse_kernel,
 )
 from .model import Dataset, ModelForm, ModelSpec, ParamVector
-from .estimator import FitResult, fit, linearized_fit, profile_init
-from .inference import bootstrap_ci, delta_se_tau, run_inference, sandwich_cov
+from .estimator import FitResult, fit, profile_init
+from .inference import bootstrap_ci, run_inference, sandwich_cov
 from .simulate import SimScenario, SimReport, generate, load_scenario, qq_export, run
 
 __all__ = [
@@ -30,9 +30,7 @@ __all__ = [
     "FitResult",
     "fit",
     "profile_init",
-    "linearized_fit",
     "sandwich_cov",
-    "delta_se_tau",
     "bootstrap_ci",
     "run_inference",
     "SimScenario",

@@ -129,7 +129,7 @@ def _inference_dict(inf: InferenceResult) -> dict:
         "level": inf.level,
         "cov": inf.cov_sandwich.tolist(),
         "se": inf.se_sandwich.tolist(),
-        "se_delta": None if inf.se_delta is None else inf.se_delta.tolist(),
+        "se_delta": inf.se_delta.tolist(),
         "ci_normal": inf.ci_normal.tolist(),
     }
     if inf.ci_bootstrap is not None:
@@ -289,7 +289,7 @@ def _write_report_files(report, prefix):
                 report.median[i],
                 "" if report.sd is None else report.sd[i],
                 report.avg_se_prop1[i],
-                "" if report.avg_se_delta is None else report.avg_se_delta[i],
+                report.avg_se_delta[i],
                 report.coverage_normal_pct[i],
                 "" if report.coverage_bootstrap_pct is None
                 else report.coverage_bootstrap_pct[i],

@@ -53,12 +53,6 @@ class NumericError(KinkfitError):
         self.index = index
 
 
-class DegenerateDesignError(KinkfitError):
-    """The linearized-model design matrix is rank deficient (typically no
-    observation close enough to the working change point at this
-    bandwidth)."""
-
-
 class InferenceError(KinkfitError):
     """Variance estimation failed (singular information matrix, or the fit
     did not converge)."""

@@ -77,7 +77,7 @@ class SimReport:
     median: np.ndarray
     sd: np.ndarray | None
     avg_se_prop1: np.ndarray
-    avg_se_delta: np.ndarray | None
+    avg_se_delta: np.ndarray
     coverage_normal_pct: np.ndarray
     coverage_bootstrap_pct: np.ndarray | None
     n_failed_fits: int
@@ -93,8 +93,7 @@ class SimReport:
         if self.sd is not None:
             rows.append(("S.D.", *_fmt(self.sd)))
         rows.append(("Avg s.e. (asymptotic)", *_fmt(self.avg_se_prop1)))
-        if self.avg_se_delta is not None:
-            rows.append(("Avg s.e. (delta)", *_fmt(self.avg_se_delta)))
+        rows.append(("Avg s.e. (delta)", *_fmt(self.avg_se_delta)))
         rows.append(("Coverage normal CI (%)", *_fmt(self.coverage_normal_pct, 1)))
         if self.coverage_bootstrap_pct is not None:
             rows.append(("Coverage bootstrap CI (%)", *_fmt(self.coverage_bootstrap_pct, 1)))
@@ -190,8 +189,7 @@ def run(scenario: SimScenario) -> SimReport:
             est = fr.params.to_array()
             ests.append(est)
             ses.append(inf.se_sandwich)
-            ses_delta.append(
-                inf.se_delta if inf.se_delta is not None else np.full_like(est, np.nan))
+            ses_delta.append(inf.se_delta)
             cover.append((inf.ci_normal[:, 0] <= truth) & (truth <= inf.ci_normal[:, 1]))
             if inf.ci_bootstrap is not None:
                 cover_boot.append(
@@ -208,7 +206,7 @@ def run(scenario: SimScenario) -> SimReport:
         median=np.median(E, axis=0),
         sd=E.std(axis=0, ddof=1) if E.shape[0] > 1 else None,
         avg_se_prop1=np.asarray(ses).mean(axis=0),
-        avg_se_delta=np.nanmean(np.asarray(ses_delta), axis=0),
+        avg_se_delta=np.asarray(ses_delta).mean(axis=0),
         coverage_normal_pct=100.0 * np.asarray(cover).mean(axis=0),
         coverage_bootstrap_pct=(
             100.0 * np.asarray(cover_boot).mean(axis=0) if cover_boot else None

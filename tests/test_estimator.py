@@ -8,7 +8,6 @@ from kinkfit.estimator import (
     fit,
     fit_beta_given_tau,
     glm_irls,
-    linearized_fit,
     profile_init,
 )
 from kinkfit.families import Family
@@ -233,35 +232,6 @@ def test_glm_irls_matches_logistic_score_equation():
     np.testing.assert_allclose(X.T @ (y - mu), 0.0, atol=1e-6)
 
 
-def test_linearized_fit_agrees_at_the_optimum():
-    # at tau0 = tau_hat the auxiliary coefficient must be ~0, so the
-    # one-step update stays put
-    spec = make_spec()
-    data = make_data(spec, n=500, seed=13)
-    res = fit(spec, data)
-    lin = linearized_fit(spec, data, res.params.tau)
-    assert lin.tau_hat == pytest.approx(res.params.tau, abs=5e-4)
-    assert abs(lin.c_aux) < 5e-3
-    np.testing.assert_allclose(lin.coef[:3],
-                               res.params.to_array()[:3], atol=1e-3)
-
-
-def test_linearized_fit_one_step_moves_toward_truth():
-    spec = make_spec()
-    data = make_data(spec, n=800, seed=14, noise=False)
-    lin = linearized_fit(spec, data, tau0=0.55)
-    assert abs(lin.tau_hat - 0.5) < abs(0.55 - 0.5)
-
-
-def test_linearized_fit_rejects_degenerate_design():
-    from kinkfit.errors import DegenerateDesignError
-    spec = make_spec()
-    data = make_data(spec, n=100, seed=15)
-    # tau0 beyond every observation: segment and its derivative vanish
-    with pytest.raises(DegenerateDesignError):
-        linearized_fit(spec, data, tau0=data.x.max() + 5.0)
-
-
 def test_second_extremes_are_those_of_the_expansion():
     # small integer x values, so that rows tie, at the extremes too
     rng = np.random.default_rng(21)
@@ -340,7 +310,6 @@ def test_counted_data_need_a_consumer_that_counts():
         lambda: profile_init(spec, counted),
         lambda: fit(spec, counted),
         lambda: fit_beta_given_tau(spec, counted, 0.5, h),
-        lambda: linearized_fit(spec, counted, res.params.tau),
         lambda: bootstrap_ci(spec, counted, res, B=200),
         lambda: run_inference(spec, counted, res),
     ):

@@ -7,15 +7,11 @@ import pytest
 import kinkfit.inference as inf
 from kinkfit import simulate
 from kinkfit.errors import BootstrapError, InferenceError, KinkfitError
-from kinkfit.estimator import LinearizedFit, fit, glm_irls, linearized_fit
+from kinkfit.estimator import fit, glm_irls
 from kinkfit.families import Family
-from kinkfit.inference import (
-    bootstrap_ci,
-    delta_se_tau,
-    run_inference,
-    sandwich_cov,
-)
-from kinkfit.model import Dataset, ParamVector, indicator_segment
+from kinkfit.inference import bootstrap_ci, run_inference, sandwich_cov
+from kinkfit.kernels import bandwidth
+from kinkfit.model import Dataset, ParamVector, design, indicator_segment, segment_term
 
 from conftest import make_data, make_spec
 
@@ -134,32 +130,6 @@ def test_covariance_invariant_under_permutation():
                                rtol=1e-6, atol=1e-10)
 
 
-def test_delta_se_closed_form_when_centered():
-    # with c = 0 the gradient is (-1/b2, 0): se = se_c / |b2|
-    cov = np.diag([0.04, 0.02, 0.09, 0.01])
-    lin = LinearizedFit(tau0=0.5, coef=np.array([2.0, 3.0, -5.0, 0.0]),
-                        cov=cov, h_used=1e-5)
-    assert delta_se_tau(lin) == pytest.approx(np.sqrt(0.01) / 5.0)
-
-
-def test_delta_se_uses_covariance_cross_term():
-    cov = np.eye(4)
-    cov[2, 3] = cov[3, 2] = 0.5
-    lin = LinearizedFit(tau0=0.5, coef=np.array([2.0, 3.0, -5.0, 1.0]),
-                        cov=cov, h_used=1e-5)
-    b2, c = -5.0, 1.0
-    g = np.array([-1.0 / b2, c / b2**2])
-    expected = np.sqrt(g @ cov[np.ix_([3, 2], [3, 2])] @ g)
-    assert delta_se_tau(lin) == pytest.approx(expected)
-
-
-def test_delta_se_rejects_tiny_slope_change():
-    lin = LinearizedFit(tau0=0.5, coef=np.array([2.0, 3.0, 1e-8, 0.0]),
-                        cov=np.eye(4), h_used=1e-5)
-    with pytest.raises(InferenceError):
-        delta_se_tau(lin)
-
-
 def test_percentile_interval_convention():
     draws = np.arange(1.0, 301.0).reshape(-1, 1)  # 1..300
     iv = inf._percentile_interval(draws, 0.95)
@@ -200,7 +170,7 @@ def test_programming_errors_propagate(monkeypatch):
     monkeypatch.setattr(inf, "fit", broken)
     with pytest.raises(TypeError):
         bootstrap_ci(spec, data, res, B=200)
-    monkeypatch.setattr(inf, "linearized_fit", broken)
+    monkeypatch.setattr(inf, "sandwich_cov", broken)
     with pytest.raises(TypeError):
         run_inference(spec, data, res)
 
@@ -238,9 +208,7 @@ def test_run_inference_assembles_everything():
                                est - 1.96 * out.se_sandwich, rtol=1e-12)
     np.testing.assert_allclose(out.ci_normal[:, 1],
                                est + 1.96 * out.se_sandwich, rtol=1e-12)
-    assert out.se_delta is not None and out.se_delta.shape == (4,)
-    lin = linearized_fit(spec, data, res.params.tau)
-    assert out.se_delta[3] == pytest.approx(delta_se_tau(lin))
+    assert out.se_delta.shape == (4,)
     assert out.ci_bootstrap.shape == (4, 2)
     assert out.bootstrap_reps_used <= 200
     assert out.level == 0.95
@@ -273,6 +241,23 @@ def bootstrap_by_take(spec, data, fit_result, B, seed):
     return inf._percentile_interval(np.asarray(draws), 0.95), len(draws)
 
 
+def linearized_delta_se(spec, data, tau0):
+    """Reference for se_delta: the standard errors of the GLM linearized at
+    tau0 (Muggeo 2003), in the constructed regressors u = seg(x, tau0) and
+    v = -d seg/d tau, with the delta-method SE of tau0 - c/beta2 in tau's
+    slot, c being v's coefficient.  run_inference refit this GLM for
+    se_delta until its SEs were shown to be the inverse-information ones."""
+    h = bandwidth(spec.bw, data.n)
+    seg, d_tau, _ = segment_term(spec.form, data.x, tau0, h, spec.kernel)
+    coef, info = glm_irls(spec.family, design(data, seg, -d_tau), data.y)
+    cov = np.linalg.inv(info)
+    se = np.sqrt(np.diag(cov))
+    b2, c = coef[2], coef[3]
+    grad = np.array([-1.0 / b2, c / b2**2])  # d tau_hat / d (c, beta2)
+    se[3] = np.sqrt(grad @ cov[np.ix_([3, 2], [3, 2])] @ grad)
+    return se
+
+
 def table1_sample():
     scenario = simulate.load_scenario(
         Path(__file__).resolve().parent.parent / "scenarios" / "table1.scenario")
@@ -286,6 +271,23 @@ def poisson_sample():
                      bandwidth="n^-1", n_covariates=2)
     truth = ParamVector(1.0, 0.5, -0.4, 0.3, (0.3, -0.2))
     return spec, make_data(spec, params=truth, n=2000, seed=3)
+
+
+def study_samples(name, replicates=20):
+    scenario = simulate.load_scenario(
+        Path(__file__).resolve().parent.parent / "scenarios" / f"{name}.scenario")
+    spec = scenario.model_spec()
+    return [(spec, simulate.generate(scenario, r)) for r in range(replicates)]
+
+
+def test_delta_se_is_the_linearized_glms():
+    samples = study_samples("table1") + study_samples("table2") + [poisson_sample()]
+    for spec, data in samples:
+        res = fit(spec, data)
+        out = run_inference(spec, data, res)
+        np.testing.assert_array_equal(out.se_delta, out.se_sandwich)
+        np.testing.assert_allclose(out.se_delta, linearized_delta_se(spec, data, res.params.tau),
+                                   rtol=1e-4, atol=0)
 
 
 @pytest.mark.parametrize("sample", [table1_sample, poisson_sample])

@@ -9,7 +9,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from kinkfit.errors import DataError, DomainError, NumericError
-from kinkfit.estimator import linearized_fit
 from kinkfit.families import Family
 from kinkfit.kernels import bandwidth, exp_cdf_kernel, normal_cdf_kernel
 from kinkfit.model import (
@@ -272,8 +271,6 @@ def test_segment_term_rejects_nonfinite_scalars():
     for tau, h in ((np.nan, 0.1), (np.inf, 0.1), (0.5, np.nan), (0.5, 0.0)):
         with pytest.raises(DomainError):
             segment_term(spec.form, x, tau, h, spec.kernel)
-    with pytest.raises(DomainError):
-        linearized_fit(spec, make_data(spec, n=50, seed=2), np.nan)
 
 
 def test_param_vector_validation():

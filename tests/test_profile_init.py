@@ -1,8 +1,11 @@
 """The stacked profile scan against the per-candidate loop it replaced."""
+import dataclasses
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from kinkfit import estimator
+from kinkfit import estimator, simulate
 from kinkfit.errors import ConvergenceError, InitializationError, NumericError
 from kinkfit.estimator import glm_irls, profile_init
 from kinkfit.families import Family
@@ -77,6 +80,47 @@ def test_separated_logit_candidates_are_dropped_alone():
     x, y = small_logit_data()
     spec = make_spec(family=Family.BERNOULLI_LOGIT, bandwidth="n^-3")
     assert_same_winner(spec, Dataset(x=x, y=y), edge_grid(x, inner=5))
+
+
+def test_quasi_separated_candidate_diverges_early():
+    # Table 2's sample at seed 1, replicate 3: every one of the 50 points at
+    # or left of the first automatic candidate has y = 0, so that candidate
+    # has no MLE and its coefficients grow without bound.  Its IRLS stops
+    # when |eta| passes 709, well before the 60-step cap.
+    scenario = simulate.load_scenario(
+        Path(__file__).resolve().parent.parent / "scenarios" / "table2.scenario")
+    data = simulate.generate(dataclasses.replace(scenario, seed=1), 3)
+    spec = scenario.model_spec()
+    tau = estimator._auto_grid(data.x)[0]
+    assert tau == pytest.approx(-1.703, abs=1e-3)
+    left = data.x <= tau
+    assert left.sum() == 50 and not data.y[left].any()
+    steps = []
+    mean_variance = estimator.families.mean_variance
+
+    def counting(*args):
+        steps.append(1)
+        return mean_variance(*args)
+
+    seg = indicator_segment(spec.form, data.x, np.array([[tau]]))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(estimator.families, "mean_variance", counting)
+        _, _, status = estimator._irls(spec.family, design(data), seg[:, :, None], data.y)
+    assert status[0] == estimator._DIVERGED
+    assert len(steps) < estimator._IRLS_MAX_ITER
+    with pytest.raises(ConvergenceError, match="IRLS diverged"):
+        glm_irls(spec.family, design(data, seg[0]), data.y)
+
+
+@pytest.mark.parametrize("ties", [False, True])
+def test_auto_grid_is_numpys_linear_quantile(ties):
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 3, 5, 7, 20, 21, 99, 500, 501, 2000, 10_000):
+        x = rng.uniform(-2.0, 2.0, n)
+        if ties:
+            x = np.round(x, 1)
+        np.testing.assert_array_equal(estimator._auto_grid(x),
+                                      np.quantile(x, np.linspace(0.1, 0.9, 21)))
 
 
 def test_singular_normal_candidate_is_dropped_alone():
