@@ -245,8 +245,8 @@ def linearized_delta_se(spec, data, tau0):
     """Reference for se_delta: the standard errors of the GLM linearized at
     tau0 (Muggeo 2003), in the constructed regressors u = seg(x, tau0) and
     v = -d seg/d tau, with the delta-method SE of tau0 - c/beta2 in tau's
-    slot, c being v's coefficient.  run_inference refit this GLM for
-    se_delta until its SEs were shown to be the inverse-information ones."""
+    slot, c being v's coefficient.  At tau0 = tau_hat these are the
+    inverse-information SEs, to the fit's convergence tolerance."""
     h = bandwidth(spec.bw, data.n)
     seg, d_tau, _ = segment_term(spec.form, data.x, tau0, h, spec.kernel)
     coef, info = glm_irls(spec.family, design(data, seg, -d_tau), data.y)
@@ -258,10 +258,16 @@ def linearized_delta_se(spec, data, tau0):
     return se
 
 
-def table1_sample():
+def study_samples(name, replicates):
+    """(spec, data) of the first replicates of scenarios/<name>.scenario."""
     scenario = simulate.load_scenario(
-        Path(__file__).resolve().parent.parent / "scenarios" / "table1.scenario")
-    return scenario.model_spec(), simulate.generate(scenario, 0)
+        Path(__file__).resolve().parent.parent / "scenarios" / f"{name}.scenario")
+    spec = scenario.model_spec()
+    return [(spec, simulate.generate(scenario, r)) for r in range(replicates)]
+
+
+def table1_sample():
+    return study_samples("table1", 1)[0]
 
 
 def poisson_sample():
@@ -273,15 +279,8 @@ def poisson_sample():
     return spec, make_data(spec, params=truth, n=2000, seed=3)
 
 
-def study_samples(name, replicates=20):
-    scenario = simulate.load_scenario(
-        Path(__file__).resolve().parent.parent / "scenarios" / f"{name}.scenario")
-    spec = scenario.model_spec()
-    return [(spec, simulate.generate(scenario, r)) for r in range(replicates)]
-
-
 def test_delta_se_is_the_linearized_glms():
-    samples = study_samples("table1") + study_samples("table2") + [poisson_sample()]
+    samples = study_samples("table1", 20) + study_samples("table2", 20) + [poisson_sample()]
     for spec, data in samples:
         res = fit(spec, data)
         out = run_inference(spec, data, res)

@@ -82,7 +82,7 @@ def test_separated_logit_candidates_are_dropped_alone():
     assert_same_winner(spec, Dataset(x=x, y=y), edge_grid(x, inner=5))
 
 
-def test_quasi_separated_candidate_diverges_early():
+def test_quasi_separated_candidate_diverges_early(monkeypatch):
     # Table 2's sample at seed 1, replicate 3: every one of the 50 points at
     # or left of the first automatic candidate has y = 0, so that candidate
     # has no MLE and its coefficients grow without bound.  Its IRLS stops
@@ -102,10 +102,9 @@ def test_quasi_separated_candidate_diverges_early():
         steps.append(1)
         return mean_variance(*args)
 
+    monkeypatch.setattr(estimator.families, "mean_variance", counting)
     seg = indicator_segment(spec.form, data.x, np.array([[tau]]))
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(estimator.families, "mean_variance", counting)
-        _, _, status = estimator._irls(spec.family, design(data), seg[:, :, None], data.y)
+    _, _, status = estimator._irls(spec.family, design(data), seg[:, :, None], data.y)
     assert status[0] == estimator._DIVERGED
     assert len(steps) < estimator._IRLS_MAX_ITER
     with pytest.raises(ConvergenceError, match="IRLS diverged"):
