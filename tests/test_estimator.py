@@ -222,6 +222,18 @@ def test_glm_irls_matches_lstsq_for_normal():
     np.testing.assert_allclose(gram, X.T @ X, atol=1e-8)
 
 
+def test_glm_irls_normal_is_exact_beyond_the_eta_bound():
+    # The |eta| <= 709 bound is for the logit and Poisson means only: a
+    # normal fit whose linear predictor is far past it is still one exact solve.
+    rng = np.random.default_rng(16)
+    X = np.column_stack([np.ones(60), rng.uniform(0.0, 10.0, 60)])
+    y = X @ np.array([2e4, 8e3]) + rng.standard_normal(60)
+    assert np.abs(y).min() > 1e4
+    beta, _ = glm_irls(Family.NORMAL_IDENTITY, X, y)
+    ref, *_ = np.linalg.lstsq(X, y, rcond=None)
+    np.testing.assert_allclose(beta, ref, rtol=1e-10)
+
+
 def test_glm_irls_matches_logistic_score_equation():
     rng = np.random.default_rng(12)
     X = np.column_stack([np.ones(400), rng.standard_normal(400)])

@@ -111,6 +111,22 @@ def test_quasi_separated_candidate_diverges_early(monkeypatch):
         glm_irls(spec.family, design(data, seg[0]), data.y)
 
 
+@pytest.mark.parametrize("family", [Family.BERNOULLI_LOGIT, Family.POISSON_LOG])
+def test_non_finite_eta_diverges_alone(family):
+    # The middle candidate's column holds a NaN, so its eta is NaN from
+    # the first step: that fit ends _DIVERGED, and its neighbours in the
+    # stack still end as glm_irls fits them one by one.
+    spec = make_spec(family=family, bandwidth="n^-3")
+    data = make_data(spec, params=TRUTH[family], n=300, seed=33)
+    seg = indicator_segment(spec.form, data.x, np.array([[-0.5], [0.0], [0.5]]))
+    seg[1, 7] = np.nan
+    beta, _, status = estimator._irls(family, design(data), seg[:, :, None], data.y)
+    assert list(status) == [estimator._CONVERGED, estimator._DIVERGED, estimator._CONVERGED]
+    for g in (0, 2):
+        ref, _ = glm_irls(family, design(data, seg[g]), data.y)
+        np.testing.assert_allclose(beta[g], ref, rtol=1e-12, atol=1e-12)
+
+
 @pytest.mark.parametrize("ties", [False, True])
 def test_auto_grid_is_numpys_linear_quantile(ties):
     rng = np.random.default_rng(5)
