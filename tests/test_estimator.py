@@ -1,6 +1,7 @@
 """Profile initialization, Newton ascent, fixed-bend GLM fits."""
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from kinkfit import estimator
 from kinkfit.errors import DataError, IdentifiabilityError, KinkfitError
@@ -222,16 +223,44 @@ def test_glm_irls_matches_lstsq_for_normal():
     np.testing.assert_allclose(gram, X.T @ X, atol=1e-8)
 
 
-def test_glm_irls_normal_is_exact_beyond_the_eta_bound():
-    # The |eta| <= 709 bound is for the logit and Poisson means only: a
-    # normal fit whose linear predictor is far past it is still one exact solve.
+def test_glm_irls_normal_is_exact_beyond_the_coefficient_bound():
+    # The |b| <= 1e8 bound is for the logit and Poisson iterations only: a
+    # normal fit with coefficients far past it is still one exact solve.
     rng = np.random.default_rng(16)
     X = np.column_stack([np.ones(60), rng.uniform(0.0, 10.0, 60)])
-    y = X @ np.array([2e4, 8e3]) + rng.standard_normal(60)
-    assert np.abs(y).min() > 1e4
+    y = X @ np.array([2e9, 8e8]) + rng.standard_normal(60)
     beta, _ = glm_irls(Family.NORMAL_IDENTITY, X, y)
+    assert np.abs(beta).min() > 1e8
     ref, *_ = np.linalg.lstsq(X, y, rcond=None)
     np.testing.assert_allclose(beta, ref, rtol=1e-10)
+
+
+def test_glm_irls_converges_with_a_poisson_mean_below_exp_minus_709():
+    # The mean falls steeply over a wide x range: at the MLE, eta is below
+    # -709 at the far points, where y = 0.  The fit must still converge.
+    rng = np.random.default_rng(41)
+    x = np.concatenate([rng.uniform(0.0, 30.0, 150), rng.uniform(30.0, 5000.0, 50)])
+    y = rng.poisson(np.exp(3.0 - 0.2 * x)).astype(float)
+    X = np.column_stack([np.ones_like(x), x])
+    beta, _ = glm_irls(Family.POISSON_LOG, X, y)
+    eta = X @ beta
+    assert eta.min() < -709.0
+    np.testing.assert_allclose(X.T @ (y - np.exp(eta)), 0.0, atol=1e-8)
+
+
+@pytest.mark.parametrize("far", [1e4, -1e4])
+def test_glm_irls_converges_with_a_far_out_logit_x(far):
+    # One x far out in the tail, correctly predicted: its eta at the MLE is
+    # about 1.7e4 in size, and the other points still pin the coefficients.
+    rng = np.random.default_rng(42)
+    x = rng.standard_normal(300)
+    x[0] = far
+    y = (rng.random(300) < expit(0.5 + 1.5 * x)).astype(float)
+    X = np.column_stack([np.ones_like(x), x])
+    beta, _ = glm_irls(Family.BERNOULLI_LOGIT, X, y)
+    eta = X @ beta
+    assert abs(eta[0]) > 1e4 and y[0] == (far > 0)
+    np.testing.assert_allclose(X.T @ (y - expit(eta)), 0.0, atol=1e-8)
 
 
 def test_glm_irls_matches_logistic_score_equation():
