@@ -46,6 +46,7 @@ from .families import Family
 from .kernels import bandwidth, eval_kernel
 from .model import (
     Dataset,
+    ModelForm,
     ModelSpec,
     ParamVector,
     derivative_rows,
@@ -124,7 +125,7 @@ def _solve(M: np.ndarray, rhs: np.ndarray):
         return x, singular
 
 
-def _irls(family: Family, C: np.ndarray, T: np.ndarray, y: np.ndarray):
+def _irls(family: Family, C: np.ndarray, T: np.ndarray, y: np.ndarray, no_mle=None):
     """Newton (IRLS) fits of G natural-link GLMs in one stacked loop.
 
     Fit g has the design [C, T[g]]: C is the n x q block of columns that
@@ -138,12 +139,13 @@ def _irls(family: Family, C: np.ndarray, T: np.ndarray, y: np.ndarray):
     Normal/identity is exact least squares in one solve without ridge; the
     other families add a 1e-12 ridge to each Newton system, diverge when a
     coefficient is non-finite or above 1e8, and converge when the largest
-    step is below _IRLS_TOL.  A fit with no MLE (quasi-complete
-    separation, Albert and Anderson 1984) runs all 60 steps.  A bound on
-    |eta| would not stop it sooner safely: fits with an MLE pass such a
-    bound too (a logit fit with a far-out x or of nearly separated data,
-    a Poisson fit whose mean falls below exp(-709) at some points), with
-    steps that grow for a dozen iterations before they converge.  Each
+    step is below _IRLS_TOL.  no_mle (None: none) flags the fits known to
+    have no MLE.  Such a fit never converges: it runs on while any other
+    fit runs, so that the others keep the stacked arithmetic of the whole
+    stack, and ends _DIVERGED with the last of them.  (A bound on |eta|
+    would not find them safely: fits with an MLE pass it too, such as a
+    logit fit with a far-out x or of nearly separated data, or a Poisson
+    fit whose mean falls below exp(-709) at some points.)  Each
     step makes one families.mean_variance pass (one exp for the logit and
     Poisson families).  With one differing column (m = 1, every
     profile_init block) that column's part of eta is a broadcast product,
@@ -160,6 +162,7 @@ def _irls(family: Family, C: np.ndarray, T: np.ndarray, y: np.ndarray):
     status = np.full(len(T), _MAX_ITER)
     # b and t hold the coefficients and columns of the fits still running.
     active, b, t = np.arange(len(T)), beta.copy(), T
+    lost = np.zeros(len(T), dtype=bool) if no_mle is None else no_mle
     for _ in range(1 if normal else _IRLS_MAX_ITER):
         tt = t.transpose(0, 2, 1)
         # One candidate column: a broadcast product, exact as a one-term sum.
@@ -178,14 +181,16 @@ def _irls(family: Family, C: np.ndarray, T: np.ndarray, y: np.ndarray):
         b = b + step
         # A NaN or infinite coefficient fails the bound too.
         ok = ~singular if normal else np.abs(b).max(axis=1) <= 1e8
-        done = ok & (normal | (np.abs(step).max(axis=1) < _IRLS_TOL))
+        done = ok & ~lost & (normal | (np.abs(step).max(axis=1) < _IRLS_TOL))
+        # The fits with no MLE end when every other fit has stopped.
+        ok &= ~(lost & (done | ~ok | lost).all())
         stop = done | ~ok
         if stop.any():
             beta[active[done]], gram[active[done]] = b[done], M[done]
             status[active[done]] = _CONVERGED
             status[active[~ok]] = _DIVERGED
             status[active[singular]] = _SINGULAR
-            active, b, t = active[~stop], b[~stop], t[~stop]
+            active, b, t, lost = active[~stop], b[~stop], t[~stop], lost[~stop]
             if active.size == 0:
                 break
     return beta, gram, status
@@ -214,6 +219,33 @@ def _auto_grid(x: np.ndarray) -> np.ndarray:
     return np.quantile(x, np.linspace(0.1, 0.9, 21))
 
 
+def _no_mle(spec: ModelSpec, x: np.ndarray, y: np.ndarray, taus: np.ndarray) -> np.ndarray:
+    """Per candidate change point: whether its hard-indicator GLM has no
+    MLE because of its own segment.
+
+    The design spans a column that is 0 on one side of tau and of one
+    sign on the other side, on x > tau unless the form is
+    quadratic-linear and on x < tau unless it is linear-quadratic: the
+    segment term, and min(x - tau, 0) for linear-linear.  If the
+    responses on that side are all 0 (or, for the logit, all 1), moving
+    the coefficients along that column raises the log-likelihood of every
+    observation there and leaves the others' unchanged, so the likelihood
+    has no maximum (quasi-complete separation, Albert and Anderson 1984).
+    """
+    lost = np.zeros(len(taus), dtype=bool)
+    if spec.family is Family.NORMAL_IDENTITY:
+        return lost
+    sides = []
+    if spec.form is not ModelForm.QUADRATIC_LINEAR:
+        sides.append(x > taus[:, None])
+    if spec.form is not ModelForm.LINEAR_QUADRATIC:
+        sides.append(x < taus[:, None])
+    for side in sides:
+        k, s = side.sum(axis=1), side @ y
+        lost |= (k > 0) & ((s == 0) | ((spec.family is Family.BERNOULLI_LOGIT) & (s == k)))
+    return lost
+
+
 @np.errstate(all="ignore")
 def profile_init(
     spec: ModelSpec, data: Dataset, tau_grid: tuple[float, ...] | None = None
@@ -231,8 +263,11 @@ def profile_init(
     its converged candidates, as parameter vectors in ParamVector order,
     are scored by one objective_rows pass; a zero beta2 is scored as
     1e-10.  A candidate whose IRLS fails (singular, diverged or not
-    converged) is dropped alone; a converged one whose smoothed objective
-    is not finite raises NumericError.  The winner is the candidate
+    converged) is dropped alone, and so is one whose responses are all 0
+    (or, for the logit, all 1) on a side of it that its segment separates
+    (_no_mle): its GLM has no MLE, and its IRLS ends with the block's
+    last other fit instead of at step 60.  A converged candidate whose
+    smoothed objective is not finite raises NumericError.  The winner is the candidate
     maximizing the smoothed objective, ties going to the smallest
     candidate.  Counted data (Dataset.counts) raise DataError.
     """
@@ -256,7 +291,8 @@ def profile_init(
     for start in range(0, grid.size, block):
         taus = grid[start:start + block]
         seg = indicator_segment(spec.form, data.x, taus[:, None])
-        beta, _, status = _irls(spec.family, shared, seg[:, :, None], data.y)
+        beta, _, status = _irls(spec.family, shared, seg[:, :, None], data.y,
+                                _no_mle(spec, data.x, data.y, taus))
         ok = status == _CONVERGED
         if not ok.any():
             continue

@@ -1,8 +1,11 @@
 """The stacked profile scan against the per-candidate loop it replaced."""
+import dataclasses
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from kinkfit import estimator
+from kinkfit import estimator, simulate
 from kinkfit.errors import ConvergenceError, InitializationError, NumericError
 from kinkfit.estimator import glm_irls, profile_init
 from kinkfit.families import Family
@@ -77,6 +80,62 @@ def test_separated_logit_candidates_are_dropped_alone():
     x, y = small_logit_data()
     spec = make_spec(family=Family.BERNOULLI_LOGIT, bandwidth="n^-3")
     assert_same_winner(spec, Dataset(x=x, y=y), edge_grid(x, inner=5))
+
+
+def test_separated_candidate_ends_with_the_last_other_fit(monkeypatch):
+    # Table 2's sample at seed 1, replicate 3: all 50 points at or left of
+    # the first automatic candidate have y = 0, so that candidate's GLM has
+    # no MLE.  Unflagged, its IRLS runs all 60 steps; flagged by _no_mle,
+    # it ends _DIVERGED at the step where the last other candidate stops,
+    # and the other candidates keep their bits.
+    scenario = simulate.load_scenario(
+        Path(__file__).resolve().parent.parent / "scenarios" / "table2.scenario")
+    data = simulate.generate(dataclasses.replace(scenario, seed=1), 3)
+    spec = scenario.model_spec()
+    grid = estimator._auto_grid(data.x)
+    assert grid[0] == pytest.approx(-1.703, abs=1e-3)
+    assert (data.x <= grid[0]).sum() == 50 and not data.y[data.x <= grid[0]].any()
+    lost = estimator._no_mle(spec, data.x, data.y, grid)
+    assert list(np.flatnonzero(lost)) == [0]
+    seg = indicator_segment(spec.form, data.x, grid[:, None])[:, :, None]
+    steps = []
+    mean_variance = estimator.families.mean_variance
+
+    def counting(family, eta):
+        steps.append(len(eta))
+        return mean_variance(family, eta)
+
+    monkeypatch.setattr(estimator.families, "mean_variance", counting)
+    beta, _, status = estimator._irls(spec.family, design(data), seg, data.y)
+    assert status[0] == estimator._MAX_ITER and len(steps) == estimator._IRLS_MAX_ITER
+    plain = len(steps)
+    flagged = estimator._irls(spec.family, design(data), seg, data.y, lost)
+    assert flagged[2][0] == estimator._DIVERGED
+    # The flagged fit ran along with the others and stopped with the last.
+    assert len(steps) - plain == max(i + 1 for i, g in enumerate(steps[:plain]) if g > 1)
+    np.testing.assert_array_equal(flagged[0][1:], beta[1:])
+    np.testing.assert_array_equal(flagged[2][1:], status[1:])
+
+
+@pytest.mark.parametrize("form", FORMS)
+@pytest.mark.parametrize("family", list(Family))
+def test_candidates_flagged_without_mle_have_none(family, form):
+    # Small samples, every gap midpoint a candidate, so that many
+    # candidates leave one side with equal responses.  Every candidate that
+    # _no_mle flags fails glm_irls, and the normal family flags none.
+    spec = make_spec(family=family, form=form, bandwidth="n^-3")
+    truth = TRUTH[family]
+    params = ParamVector(truth.beta0, truth.beta1, truth.beta2, truth.tau, ())
+    flagged = 0
+    for seed in range(20):
+        data = make_data(spec, params=params, n=30, seed=seed)
+        grid = gap_midpoints(data.x, edge=1)
+        lost = estimator._no_mle(spec, data.x, data.y, grid)
+        flagged += lost.sum()
+        for tau in grid[lost]:
+            with pytest.raises(ConvergenceError):
+                glm_irls(family, design(data, indicator_segment(spec.form, data.x, tau)), data.y)
+    assert (flagged == 0) == (family is Family.NORMAL_IDENTITY)
 
 
 def test_poisson_candidates_past_eta_709_are_kept():
