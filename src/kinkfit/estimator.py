@@ -145,8 +145,8 @@ def _irls(family: Family, C: np.ndarray, T: np.ndarray, y: np.ndarray, no_mle=No
     stack, and ends _DIVERGED with the last of them.  (A bound on |eta|
     would not find them safely: fits with an MLE pass it too, such as a
     logit fit with a far-out x or of nearly separated data, or a Poisson
-    fit whose mean falls below exp(-709) at some points.)  Each
-    step makes one families.mean_variance pass (one exp for the logit and
+    fit whose mean falls below exp(-709) at some points.)  Each step
+    makes one families.mean_variance pass (one exp for the logit and
     Poisson families).  With one differing column (m = 1, every
     profile_init block) that column's part of eta is a broadcast product,
     bit-identical to the stacked matmul used for m > 1.
@@ -267,9 +267,9 @@ def profile_init(
     (or, for the logit, all 1) on a side of it that its segment separates
     (_no_mle): its GLM has no MLE, and its IRLS ends with the block's
     last other fit instead of at step 60.  A converged candidate whose
-    smoothed objective is not finite raises NumericError.  The winner is the candidate
-    maximizing the smoothed objective, ties going to the smallest
-    candidate.  Counted data (Dataset.counts) raise DataError.
+    smoothed objective is not finite raises NumericError.  The winner is
+    the candidate maximizing the smoothed objective, ties going to the
+    smallest candidate.  Counted data (Dataset.counts) raise DataError.
     """
     data.require_uncounted("profile_init")
     data.check_family(spec.family)
