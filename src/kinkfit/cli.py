@@ -243,7 +243,8 @@ def _emit_fit(payload, args):
             lines.append(f"{name},{est[i]!r},{se!r},{lo!r},{hi!r}")
         text = "\n".join(lines)
     else:
-        lines = [f"{'param':>8} {'estimate':>12} {'s.e.':>10} {'95% CI':>26}"]
+        ci = f"{100 * payload['inference']['level']:g}% CI"
+        lines = [f"{'param':>8} {'estimate':>12} {'s.e.':>10} {ci:>26}"]
         for i, name in enumerate(names):
             se = payload["inference"]["se"][i]
             lo, hi = payload["inference"]["ci_normal"][i]

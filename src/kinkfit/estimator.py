@@ -3,11 +3,12 @@
 The pipeline is: profile initialization over a grid of candidate change
 points (an ordinary GLM with the hard-indicator regressor at each fixed
 candidate, all candidates of a block fit by one stacked IRLS and scored by
-one vectorized objective pass), then damped Newton ascent on the smoothed
-objective with all parameters free.  When the observed negative Hessian is
-indefinite -- which happens routinely while the change point sits inside a
-smoothing window -- the step falls back to the always-PSD weighted Gram
-matrix (Fisher scoring) with ridge escalation.
+one vectorized objective pass, each with the bits it gets alone), then
+damped Newton ascent on the smoothed objective with all parameters free.
+When the observed negative Hessian is indefinite -- which happens
+routinely while the change point sits inside a smoothing window -- the
+step falls back to the always-PSD weighted Gram matrix (Fisher scoring)
+with ridge escalation.
 
 The Newton ascent is one stacked loop over G problems of the same size
 (_newton): each problem takes its own steps, halvings and stop, and
@@ -77,7 +78,8 @@ _NEWTON_MAX_ITER = 100
 # A stacked pass (profile_init's candidates, fit_stack's problems) holds at
 # most this many problem x observation values per array (but at least one
 # problem), so more problems cost more blocks, not more memory: 128 KiB
-# per stacked array.  rows_per_block turns it into a block size.
+# per stacked array, p times that for profile_init's G x p x n designs.
+# rows_per_block turns it into a block size.
 _STACK_ELEMS = 2**14
 
 
@@ -125,72 +127,54 @@ def _solve(M: np.ndarray, rhs: np.ndarray):
         return x, singular
 
 
-def _irls(family: Family, C: np.ndarray, T: np.ndarray, y: np.ndarray, no_mle=None):
+def _irls(family: Family, X: np.ndarray, y: np.ndarray):
     """Newton (IRLS) fits of G natural-link GLMs in one stacked loop.
 
-    Fit g has the design [C, T[g]]: C is the n x q block of columns that
-    every fit shares and T the G x n x m stack of the columns that differ.
-    Returns (beta, gram, status): the G x (q + m) coefficients, the Gram
-    matrices X^t W X at the start of each fit's last step, and per fit one
-    of _CONVERGED, _SINGULAR, _DIVERGED and _MAX_ITER.  A fit stops at its
-    own convergence or failure; the others go on.  Besides C, its n x q^2
-    column products and T, every array is G x n x m at most.
+    X is the G x p x n stack of the fits' transposed designs, C-contiguous:
+    fit g has the n x p design X[g].T.  Returns (beta, gram, status): the
+    G x p coefficients, the Gram matrices X^t W X at the start of each
+    fit's last step, and per fit one of _CONVERGED, _SINGULAR, _DIVERGED
+    and _MAX_ITER.  A fit stops at its own convergence or failure; the
+    others go on.  Each step makes one np.matmul per fit for eta, for
+    X^t W X and for X^t r, and one families.mean_variance pass (one exp
+    for the logit and Poisson families), so a fit's bits do not depend
+    on the other fits in its stack: each is glm_irls of its own design.
 
     Normal/identity is exact least squares in one solve without ridge; the
     other families add a 1e-12 ridge to each Newton system, diverge when a
     coefficient is non-finite or above 1e8, and converge when the largest
-    step is below _IRLS_TOL.  no_mle (None: none) flags the fits known to
-    have no MLE.  Such a fit never converges: it runs on while any other
-    fit runs, so that the others keep the stacked arithmetic of the whole
-    stack, and ends _DIVERGED with the last of them.  (A bound on |eta|
+    step is below _IRLS_TOL.  A fit with no MLE ends _DIVERGED if its
+    coefficients pass the bound, else _MAX_ITER; profile_init leaves the
+    candidates that _no_mle flags out of its stacks.  (A bound on |eta|
     would not find them safely: fits with an MLE pass it too, such as a
     logit fit with a far-out x or of nearly separated data, or a Poisson
-    fit whose mean falls below exp(-709) at some points.)  Each step
-    makes one families.mean_variance pass (one exp for the logit and
-    Poisson families).  With one differing column (m = 1, every
-    profile_init block) that column's part of eta is a broadcast product,
-    bit-identical to the stacked matmul used for m > 1.
+    fit whose mean falls below exp(-709) at some points.)
     """
-    n, q = C.shape
-    m = T.shape[2]
-    p = q + m
+    G, p, _ = X.shape
     normal = family is Family.NORMAL_IDENTITY
     ridge = 0.0 if normal else 1e-12 * np.eye(p)
-    CC = (C[:, :, None] * C[:, None, :]).reshape(n, q * q)
-    beta = np.zeros((len(T), p))
-    gram = np.zeros((len(T), p, p))
-    status = np.full(len(T), _MAX_ITER)
-    # b and t hold the coefficients and columns of the fits still running.
-    active, b, t = np.arange(len(T)), beta.copy(), T
-    lost = np.zeros(len(T), dtype=bool) if no_mle is None else no_mle
+    beta = np.zeros((G, p))
+    gram = np.zeros((G, p, p))
+    status = np.full(G, _MAX_ITER)
+    # b and x hold the coefficients and designs of the fits still running.
+    active, b, x = np.arange(G), beta.copy(), X
     for _ in range(1 if normal else _IRLS_MAX_ITER):
-        tt = t.transpose(0, 2, 1)
-        # One candidate column: a broadcast product, exact as a one-term sum.
-        tb = t[:, :, 0] * b[:, q:] if m == 1 else np.matmul(t, b[:, q:, None])[:, :, 0]
-        eta = b[:, :q] @ C.T + tb
+        eta = np.matmul(b[:, None, :], x)[:, 0]
         mu, w = families.mean_variance(family, eta)
-        r = y - mu
-        wtt = tt if normal else (w[:, :, None] * t).transpose(0, 2, 1)  # normal: w = 1
-        M = np.empty((active.size, p, p))
-        M[:, :q, :q] = (w @ CC).reshape(active.size, q, q)
-        M[:, q:, :q] = np.matmul(wtt, C)
-        M[:, :q, q:] = M[:, q:, :q].transpose(0, 2, 1)
-        M[:, q:, q:] = np.matmul(wtt, t)
-        rhs = np.concatenate([r @ C, np.matmul(tt, r[:, :, None])[:, :, 0]], axis=1)
+        M = np.matmul(x * w[:, None, :], x.transpose(0, 2, 1))
+        rhs = np.matmul(x, (y - mu)[:, :, None])[:, :, 0]
         step, singular = _solve(M + ridge, rhs)
         b = b + step
         # A NaN or infinite coefficient fails the bound too.
         ok = ~singular if normal else np.abs(b).max(axis=1) <= 1e8
-        done = ok & ~lost & (normal | (np.abs(step).max(axis=1) < _IRLS_TOL))
-        # The fits with no MLE end when every other fit has stopped.
-        ok &= ~(lost & (done | ~ok | lost).all())
+        done = ok & (normal | (np.abs(step).max(axis=1) < _IRLS_TOL))
         stop = done | ~ok
         if stop.any():
             beta[active[done]], gram[active[done]] = b[done], M[done]
             status[active[done]] = _CONVERGED
             status[active[~ok]] = _DIVERGED
             status[active[singular]] = _SINGULAR
-            active, b, t, lost = active[~stop], b[~stop], t[~stop], lost[~stop]
+            active, b, x = active[~stop], b[~stop], x[~stop]
             if active.size == 0:
                 break
     return beta, gram, status
@@ -200,12 +184,13 @@ def _irls(family: Family, C: np.ndarray, T: np.ndarray, y: np.ndarray, no_mle=No
 def glm_irls(family: Family, X: np.ndarray, y: np.ndarray):
     """Newton (IRLS) fit of a natural-link GLM.
 
-    Runs the stacked IRLS of profile_init on the single design X.  Returns
-    (beta, XtWX) at the optimum.  Raises ConvergenceError when the
-    iteration diverges, the normal equations are singular, or 60 steps
-    pass without convergence.
+    Runs the stacked IRLS of profile_init on the single n x p design X, so
+    that each profile candidate is this fit of its own design, bit for
+    bit.  Returns (beta, XtWX) at the optimum.  Raises ConvergenceError
+    when the iteration diverges, the normal equations are singular, or 60
+    steps pass without convergence.
     """
-    beta, gram, status = _irls(family, X[:, :0], X[None], y)
+    beta, gram, status = _irls(family, np.ascontiguousarray(X.T)[None], y)
     if status[0] == _SINGULAR:
         raise ConvergenceError("singular IRLS system")
     if status[0] == _DIVERGED:
@@ -255,21 +240,23 @@ def profile_init(
     tau_grid holds explicit candidate change points, each finite and
     strictly inside the x range; None gives the automatic grid, 21
     equally spaced quantiles of x between the 10th and 90th percentile.
-    Each candidate is an ordinary GLM with the hard-indicator regressor.
-    The sorted candidates are taken in blocks of rows_per_block(n), at
-    most 2^14 / n and at least one, so that no stacked candidate x
-    observation array exceeds 2^14 values; at n = 500 the 21-point
-    automatic grid is one block.  A block is fit by one stacked IRLS, and
-    its converged candidates, as parameter vectors in ParamVector order,
-    are scored by one objective_rows pass; a zero beta2 is scored as
-    1e-10.  A candidate whose IRLS fails (singular, diverged or not
-    converged) is dropped alone, and so is one whose responses are all 0
-    (or, for the logit, all 1) on a side of it that its segment separates
-    (_no_mle): its GLM has no MLE, and its IRLS ends with the block's
-    last other fit instead of at step 60.  A converged candidate whose
-    smoothed objective is not finite raises NumericError.  The winner is
-    the candidate maximizing the smoothed objective, ties going to the
-    smallest candidate.  Counted data (Dataset.counts) raise DataError.
+    Each distinct candidate is an ordinary GLM with the hard-indicator
+    regressor, fit once.  A candidate whose responses are all 0 (or, for
+    the logit, all 1) on a side of it that its segment separates is
+    dropped unfit (_no_mle): its GLM has no MLE.  The others are taken in
+    sorted order, in blocks of rows_per_block(n), at most 2^14 / n and at
+    least one, so that the stacked designs of a block hold at most
+    p * 2^14 values; at n = 500 the 21-point automatic grid is one block.
+    A block is fit by one stacked IRLS, and its converged candidates, as
+    parameter vectors in ParamVector order, are scored by one
+    objective_rows pass; a zero beta2 is scored as 1e-10.  Each
+    candidate's fit and score are those of glm_irls and objective on it
+    alone, bit for bit, so the blocks bound memory and change no result.
+    A candidate whose IRLS fails (singular, diverged or not converged) is
+    dropped alone.  A converged candidate whose smoothed objective is not
+    finite raises NumericError.  The winner is the candidate maximizing
+    the smoothed objective, ties going to the smallest candidate.
+    Counted data (Dataset.counts) raise DataError.
     """
     data.require_uncounted("profile_init")
     data.check_family(spec.family)
@@ -283,23 +270,22 @@ def profile_init(
             raise DataError("tau grid candidates must lie strictly inside the x range")
     else:
         grid = _auto_grid(data.x)
-    grid = np.sort(grid)
-    shared = design(data)  # [1, x, z]; the segment column differs per candidate
-    q = shared.shape[1]
+    grid = np.unique(grid)
+    grid = grid[~_no_mle(spec, data.x, data.y, grid)]
+    # The transposed design [1, x, seg, z] of every candidate; row 2 is its
+    # segment column.
+    shared = design(data, np.zeros(data.n)).T
     block = rows_per_block(data.n)
     best_q, best = -np.inf, None
     for start in range(0, grid.size, block):
         taus = grid[start:start + block]
-        seg = indicator_segment(spec.form, data.x, taus[:, None])
-        beta, _, status = _irls(spec.family, shared, seg[:, :, None], data.y,
-                                _no_mle(spec, data.x, data.y, taus))
+        X = np.repeat(shared[None], taus.size, axis=0)
+        X[:, 2] = indicator_segment(spec.form, data.x, taus[:, None])
+        beta, _, status = _irls(spec.family, X, data.y)
         ok = status == _CONVERGED
         if not ok.any():
             continue
-        # ParamVector order (beta0, beta1, beta2, tau, gamma...) from the
-        # IRLS order [1, x, z, seg].
-        b = beta[ok]
-        rows = np.column_stack((b[:, [0, 1, q]], taus[ok], b[:, 2:q]))
+        rows = np.insert(beta[ok], 3, taus[ok], axis=1)  # ParamVector order
         scored = rows.copy()
         scored[scored[:, 2] == 0.0, 2] = _BETA2_EPS
         values = objective_rows(spec, scored, data.x, data.y, data.z, None, h)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import lapack
 
-from .errors import BootstrapError, InferenceError, KinkfitError
+from .errors import BootstrapError, DomainError, InferenceError, KinkfitError
 from .estimator import FitResult, fit
 from .model import Dataset, ModelSpec
 
@@ -99,6 +99,12 @@ def sandwich_cov(fit_result: FitResult) -> np.ndarray:
     return cov
 
 
+def _check_level(level: float) -> None:
+    """DomainError unless the confidence level lies in (0, 1)."""
+    if not 0.0 < level < 1.0:  # NaN fails too
+        raise DomainError(f"confidence level must lie in (0, 1), got {level}")
+
+
 def _percentile_interval(draws: np.ndarray, level: float) -> np.ndarray:
     """Order-statistic percentile interval at indices ceil(B*a/2) and
     ceil(B*(1-a/2)), 1-based."""
@@ -131,12 +137,13 @@ def bootstrap_ci(
     of n, fit as the n drawn rows would be, to round-off.  The draws and
     their stream are those of refitting the drawn rows themselves.
     Resamples whose refit raises a KinkfitError or fails to converge are
-    dropped and counted; more than 10% failures aborts.  Counted data
-    raise DataError.  Runs with numpy's floating-point warnings off, as
-    fit does.
+    dropped and counted; more than 10% failures aborts.  A level outside
+    (0, 1) raises DomainError; counted data raise DataError.  Runs with
+    numpy's floating-point warnings off, as fit does.
 
     Returns (intervals (4+k) x 2, reps_used).
     """
+    _check_level(level)
     if B < 200:
         raise BootstrapError("bootstrap needs B >= 200")
     if not fit_result.converged:
@@ -185,9 +192,11 @@ def run_inference(
     bootstrap_B: int = 0,
     seed=0,
 ) -> InferenceResult:
-    """Assemble all inference outputs for a converged fit.  Counted data
-    (Dataset.counts) raise DataError.  Runs with numpy's floating-point
-    warnings off, as fit does."""
+    """Assemble all inference outputs for a converged fit.  A level
+    outside (0, 1) raises DomainError; counted data (Dataset.counts) raise
+    DataError.  Runs with numpy's floating-point warnings off, as fit
+    does."""
+    _check_level(level)
     data.require_uncounted("run_inference")
     cov = sandwich_cov(fit_result)
     se = np.sqrt(np.diag(cov))

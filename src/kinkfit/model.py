@@ -266,10 +266,8 @@ def _theta(spec: ModelSpec, params: np.ndarray, x, z, h: float):
         )
     seg, d_tau, d_tau2 = segment_term(spec.form, x, params[:, 3:4], h, spec.kernel)
     theta = params[:, 0:1] + params[:, 1:2] * x + params[:, 2:3] * seg
-    if k and z.ndim == 3:
+    if k:
         theta = theta + np.matmul(z, params[:, 4:, None])[:, :, 0]
-    elif k:
-        theta = theta + (z @ params[:, 4:].T).T
     return theta, seg, d_tau, d_tau2
 
 

@@ -16,7 +16,7 @@ from . import families
 from .errors import ConvergenceError, DataError, DomainError, KinkfitError
 from .estimator import FitResult, fit_stack, profile_init, rows_per_block
 from .families import parse_family
-from .inference import run_inference
+from .inference import _check_level, run_inference
 from .kernels import parse_bandwidth, parse_kernel
 from .model import Dataset, ModelSpec, ParamVector, indicator_segment, parse_form
 
@@ -46,6 +46,7 @@ class SimScenario:
     def __post_init__(self):
         if self.replications < 1:
             raise DomainError("replications must be >= 1")
+        _check_level(self.level)
         if not (self.x_lo < self.true_params.tau < self.x_hi):
             raise DomainError("true change point must lie inside the x range")
         # NaN fails the comparison too.  profile_init still checks each
@@ -151,7 +152,7 @@ def run(scenario: SimScenario) -> SimReport:
     spec = scenario.model_spec()
     truth = scenario.true_params.to_array()
     names = _param_names(len(scenario.true_params.gamma))
-    ests, ses, ses_delta, cover, cover_boot = [], [], [], [], []
+    ests, ses, cover, cover_boot = [], [], [], []
     failed = 0
     block = rows_per_block(scenario.n)
     for first in range(0, scenario.replications, block):
@@ -189,7 +190,6 @@ def run(scenario: SimScenario) -> SimReport:
             est = fr.params.to_array()
             ests.append(est)
             ses.append(inf.se_sandwich)
-            ses_delta.append(inf.se_delta)
             cover.append((inf.ci_normal[:, 0] <= truth) & (truth <= inf.ci_normal[:, 1]))
             if inf.ci_bootstrap is not None:
                 cover_boot.append(
@@ -198,6 +198,7 @@ def run(scenario: SimScenario) -> SimReport:
     if not ests:
         raise ConvergenceError("every replicate failed to fit")
     E = np.asarray(ests)
+    avg_se = np.asarray(ses).mean(axis=0)  # se_delta is se_sandwich
     report = SimReport(
         scenario=scenario,
         param_names=names,
@@ -205,8 +206,8 @@ def run(scenario: SimScenario) -> SimReport:
         mean=E.mean(axis=0),
         median=np.median(E, axis=0),
         sd=E.std(axis=0, ddof=1) if E.shape[0] > 1 else None,
-        avg_se_prop1=np.asarray(ses).mean(axis=0),
-        avg_se_delta=np.asarray(ses_delta).mean(axis=0),
+        avg_se_prop1=avg_se,
+        avg_se_delta=avg_se,
         coverage_normal_pct=100.0 * np.asarray(cover).mean(axis=0),
         coverage_bootstrap_pct=(
             100.0 * np.asarray(cover_boot).mean(axis=0) if cover_boot else None

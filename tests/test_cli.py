@@ -151,6 +151,40 @@ def test_missing_column_exit_code(normal_csv, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("level", ["1.5", "1", "0", "nan"])
+def test_level_outside_the_unit_interval_is_usage_error(level, normal_csv, capsys):
+    # These used to exit 0, with NaN, +-Infinity (not valid JSON) or
+    # zero-width intervals in ci_normal.
+    code = main(["fit", "--input", str(normal_csv), "--y-col", "y",
+                 "--x-col", "x", "--level", level])
+    assert code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert json.loads(captured.err)["error"] == "usage-error"
+
+
+def test_table_header_names_the_level(normal_csv, capsys):
+    assert main(["fit", "--input", str(normal_csv), "--y-col", "y",
+                 "--x-col", "x", "--level", "0.9", "--format", "table"]) == EXIT_OK
+    header = capsys.readouterr().out.splitlines()[0]
+    assert header.split()[-2:] == ["90%", "CI"]
+
+
+def test_scenario_level_outside_the_unit_interval_is_usage_error(tmp_path, capsys, monkeypatch):
+    # The scenario fails as it loads, before any replicate is fit.
+    import pathlib
+    from kinkfit import simulate
+    smoke = pathlib.Path(__file__).resolve().parent.parent / "scenarios" / "smoke.scenario"
+    scen = tmp_path / "level.scenario"
+    scen.write_text(smoke.read_text() + "level = 1.5\n")
+    monkeypatch.setattr(simulate, "profile_init", None)  # a fit would fail with TypeError
+    assert main(["simulate", "--scenario", str(scen)]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = json.loads(captured.err)
+    assert err["error"] == "usage-error" and "level" in err["message"]
+
+
 def test_bad_family_token_is_usage_error(normal_csv, capsys):
     code = main(["fit", "--input", str(normal_csv), "--y-col", "y",
                  "--x-col", "x", "--family", "tweedie"])

@@ -6,7 +6,7 @@ import pytest
 
 import kinkfit.inference as inf
 from kinkfit import simulate
-from kinkfit.errors import BootstrapError, InferenceError, KinkfitError
+from kinkfit.errors import BootstrapError, DomainError, InferenceError, KinkfitError
 from kinkfit.estimator import fit, glm_irls
 from kinkfit.families import Family
 from kinkfit.inference import bootstrap_ci, run_inference, sandwich_cov
@@ -212,6 +212,23 @@ def test_run_inference_assembles_everything():
     assert out.ci_bootstrap.shape == (4, 2)
     assert out.bootstrap_reps_used <= 200
     assert out.level == 0.95
+
+
+@pytest.mark.parametrize("level", [0.0, 1.0, 1.5, -0.5, np.nan])
+def test_level_outside_the_unit_interval_is_a_domain_error(level):
+    spec, data, res = fitted(seed=9, n=300)
+    with pytest.raises(DomainError):
+        run_inference(spec, data, res, level=level)
+    with pytest.raises(DomainError):
+        bootstrap_ci(spec, data, res, B=200, level=level)
+
+
+def test_normal_interval_at_another_level():
+    spec, data, res = fitted(seed=9, n=300)
+    out = run_inference(spec, data, res, level=0.9)
+    half = 1.6448536269514722 * out.se_sandwich
+    np.testing.assert_allclose(out.ci_normal[:, 1] - out.ci_normal[:, 0], 2 * half, rtol=1e-12)
+    assert out.level == 0.9
 
 
 def test_run_inference_without_bootstrap():

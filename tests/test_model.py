@@ -19,6 +19,7 @@ from kinkfit.model import (
     objective,
     parse_form,
     segment_term,
+    value_rows,
 )
 
 from conftest import COUNT_CASES, TRUE, make_counted, make_data, make_spec
@@ -263,6 +264,25 @@ def test_objective_independent_of_observation_order():
     q0 = objective(spec, params, data, h)
     q1 = objective(spec, params, data.take(perm), h)
     assert q1 == pytest.approx(q0, rel=1e-12)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_value_rows_of_shared_data_match_a_stack_of_one(family):
+    # 21 parameter rows on shared x, y and z (n and n x 2), as profile_init
+    # scores its candidates, give the bits of the same data stacked per row
+    # (G x n and G x n x 2), and each row the bits of a stack of one.
+    spec, probe, data, h = rand_instance(41, family=family, n=300, k=2)
+    params = probe.to_array() + 0.05 * np.random.default_rng(5).standard_normal((21, 6))
+    G = len(params)
+    shared = value_rows(spec, params, data.x, data.y, data.z, None, h)
+    stacked = value_rows(spec, params, np.tile(data.x, (G, 1)), np.tile(data.y, (G, 1)),
+                         np.repeat(data.z[None], G, axis=0), None, h)
+    for a, b in zip(shared, stacked):
+        np.testing.assert_array_equal(a, b)
+    for g in range(G):
+        one = value_rows(spec, params[g:g + 1], data.x[None], data.y[None], data.z[None], None, h)
+        for a, b in zip(shared, one):
+            np.testing.assert_array_equal(a[g], b[0])
 
 
 def test_segment_term_rejects_nonfinite_scalars():

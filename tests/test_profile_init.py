@@ -8,7 +8,7 @@ import pytest
 from kinkfit import estimator, simulate
 from kinkfit.errors import ConvergenceError, InitializationError, NumericError
 from kinkfit.estimator import glm_irls, profile_init
-from kinkfit.families import Family
+from kinkfit.families import Family, sample
 from kinkfit.kernels import bandwidth, custom_kernel, normal_cdf_kernel
 from kinkfit.model import Dataset, ParamVector, design, indicator_segment, objective
 
@@ -18,9 +18,9 @@ from test_hinge_mle import small_logit_data
 
 FORMS = ["linear-linear", "linear-quadratic", "quadratic-linear"]
 TRUTH = {
-    Family.NORMAL_IDENTITY: ParamVector(2.0, 3.0, -5.0, 0.5, (0.7,)),
-    Family.BERNOULLI_LOGIT: ParamVector(2.0, 3.0, -5.0, 0.5, (0.7,)),
-    Family.POISSON_LOG: ParamVector(1.0, 0.5, -0.4, 0.3, (0.3,)),
+    Family.NORMAL_IDENTITY: ParamVector(2.0, 3.0, -5.0, 0.5, (0.7, -0.4)),
+    Family.BERNOULLI_LOGIT: ParamVector(2.0, 3.0, -5.0, 0.5, (0.7, -0.4)),
+    Family.POISSON_LOG: ParamVector(1.0, 0.5, -0.4, 0.3, (0.3, -0.2)),
 }
 
 
@@ -46,12 +46,14 @@ def reference_profile(spec, data, grid):
     return best
 
 
-def assert_same_winner(spec, data, grid):
+def assert_same_winner(spec, data, grid, init=None):
+    """init (default: profile_init over grid) is the reference loop's
+    winner over grid, bit for bit."""
     tau, coef = reference_profile(spec, data, grid)
-    init = profile_init(spec, data, tau_grid=tuple(grid))
+    if init is None:
+        init = profile_init(spec, data, tau_grid=tuple(grid))
     assert init.tau == tau
-    got = np.delete(init.to_array(), 3)
-    np.testing.assert_allclose(got, coef, rtol=0, atol=1e-10)
+    np.testing.assert_array_equal(np.delete(init.to_array(), 3), coef)
 
 
 def edge_grid(x, inner=15):
@@ -62,16 +64,69 @@ def edge_grid(x, inner=15):
     return np.concatenate([mids[[0, 1, -2, -1]], inner_taus])
 
 
-@pytest.mark.parametrize("k", [0, 1])
-@pytest.mark.parametrize("form", FORMS)
-@pytest.mark.parametrize("family", list(Family))
-def test_stacked_profile_matches_the_per_candidate_loop(family, form, k):
+def truth_data(family, form="linear-linear", k=0, n=300, seed=31):
     spec = make_spec(family=family, form=form, n_covariates=k,
                      bandwidth="n^-3" if family is Family.BERNOULLI_LOGIT else "n^-2")
     p = TRUTH[family]
     params = ParamVector(p.beta0, p.beta1, p.beta2, p.tau, p.gamma[:k])
-    data = make_data(spec, params=params, n=300, seed=31)
+    return spec, make_data(spec, params=params, n=n, seed=seed)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2])
+@pytest.mark.parametrize("form", FORMS)
+@pytest.mark.parametrize("family", list(Family))
+def test_stacked_profile_matches_the_per_candidate_loop(family, form, k):
+    spec, data = truth_data(family, form, k)
     assert_same_winner(spec, data, edge_grid(data.x))
+
+
+@pytest.mark.parametrize("k", [0, 2])
+@pytest.mark.parametrize("family", list(Family))
+def test_one_candidate_per_block_changes_nothing(family, k, monkeypatch):
+    # A block of one candidate has the bits of a block of the whole grid.
+    spec, data = truth_data(family, k=k)
+    grid = tuple(edge_grid(data.x))
+    whole = profile_init(spec, data, tau_grid=grid)
+    monkeypatch.setattr(estimator, "_STACK_ELEMS", 1)
+    assert estimator.rows_per_block(data.n) == 1
+    assert profile_init(spec, data, tau_grid=grid) == whole
+
+
+def designs(spec, data, taus):
+    """The candidates' transposed designs as _irls takes them: one
+    C-contiguous G x p x n stack."""
+    return np.ascontiguousarray(
+        [design(data, indicator_segment(spec.form, data.x, tau)).T for tau in taus])
+
+
+def recording_irls(monkeypatch):
+    """Patch estimator._irls to record each stack of designs it fits."""
+    stacks = []
+    irls = estimator._irls
+
+    def recording(family, X, y):
+        stacks.append(X.copy())
+        return irls(family, X, y)
+
+    monkeypatch.setattr(estimator, "_irls", recording)
+    return stacks
+
+
+@pytest.mark.parametrize("family", list(Family))
+def test_tied_candidates_are_fit_once(family, monkeypatch):
+    # x on the integers 0-7: the 21 automatic candidates hold 8 distinct
+    # values, and each of them is fit once, to the same winner.
+    spec = make_spec(family=family, bandwidth="n^-3" if family is Family.BERNOULLI_LOGIT else "n^-2")
+    rng = np.random.default_rng(0)
+    x = rng.integers(0, 8, 400).astype(float)
+    theta = TRUTH[family].beta0 + 0.5 * x - np.maximum(x - 3.5, 0.0)
+    data = Dataset(x=x, y=sample(family, theta, rng))
+    grid = estimator._auto_grid(x)
+    assert grid.size == 21 and np.unique(grid).size == 8
+    stacks = recording_irls(monkeypatch)
+    init = profile_init(spec, data)
+    assert sum(len(X) for X in stacks) == 8
+    assert_same_winner(spec, data, grid, init)
 
 
 def test_separated_logit_candidates_are_dropped_alone():
@@ -82,12 +137,11 @@ def test_separated_logit_candidates_are_dropped_alone():
     assert_same_winner(spec, Dataset(x=x, y=y), edge_grid(x, inner=5))
 
 
-def test_separated_candidate_ends_with_the_last_other_fit(monkeypatch):
+def test_separated_candidate_never_reaches_irls(monkeypatch):
     # Table 2's sample at seed 1, replicate 3: all 50 points at or left of
     # the first automatic candidate have y = 0, so that candidate's GLM has
-    # no MLE.  Unflagged, its IRLS runs all 60 steps; flagged by _no_mle,
-    # it ends _DIVERGED at the step where the last other candidate stops,
-    # and the other candidates keep their bits.
+    # no MLE.  _no_mle flags it, and no stack that _irls fits holds its
+    # design; the winner is the reference loop's, where glm_irls fails it.
     scenario = simulate.load_scenario(
         Path(__file__).resolve().parent.parent / "scenarios" / "table2.scenario")
     data = simulate.generate(dataclasses.replace(scenario, seed=1), 3)
@@ -95,26 +149,15 @@ def test_separated_candidate_ends_with_the_last_other_fit(monkeypatch):
     grid = estimator._auto_grid(data.x)
     assert grid[0] == pytest.approx(-1.703, abs=1e-3)
     assert (data.x <= grid[0]).sum() == 50 and not data.y[data.x <= grid[0]].any()
-    lost = estimator._no_mle(spec, data.x, data.y, grid)
-    assert list(np.flatnonzero(lost)) == [0]
-    seg = indicator_segment(spec.form, data.x, grid[:, None])[:, :, None]
-    steps = []
-    mean_variance = estimator.families.mean_variance
-
-    def counting(family, eta):
-        steps.append(len(eta))
-        return mean_variance(family, eta)
-
-    monkeypatch.setattr(estimator.families, "mean_variance", counting)
-    beta, _, status = estimator._irls(spec.family, design(data), seg, data.y)
-    assert status[0] == estimator._MAX_ITER and len(steps) == estimator._IRLS_MAX_ITER
-    plain = len(steps)
-    flagged = estimator._irls(spec.family, design(data), seg, data.y, lost)
-    assert flagged[2][0] == estimator._DIVERGED
-    # The flagged fit ran along with the others and stopped with the last.
-    assert len(steps) - plain == max(i + 1 for i, g in enumerate(steps[:plain]) if g > 1)
-    np.testing.assert_array_equal(flagged[0][1:], beta[1:])
-    np.testing.assert_array_equal(flagged[2][1:], status[1:])
+    assert list(np.flatnonzero(estimator._no_mle(spec, data.x, data.y, grid))) == [0]
+    with pytest.raises(ConvergenceError):
+        glm_irls(spec.family, design(data, indicator_segment(spec.form, data.x, grid[0])), data.y)
+    stacks = recording_irls(monkeypatch)
+    init = profile_init(spec, data)
+    segs = np.concatenate([X[:, 2] for X in stacks])
+    assert len(segs) == grid.size - 1
+    np.testing.assert_array_equal(segs, indicator_segment(spec.form, data.x, grid[1:, None]))
+    assert_same_winner(spec, data, grid, init)
 
 
 @pytest.mark.parametrize("form", FORMS)
@@ -149,11 +192,11 @@ def test_poisson_candidates_past_eta_709_are_kept():
     y = rng.poisson(np.exp(2.0 + 0.1 * x - 1.6 * np.maximum(x - 5.0, 0.0))).astype(float)
     data = Dataset(x=x, y=y)
     grid = estimator._auto_grid(x)
-    seg = indicator_segment(spec.form, x, grid[:, None])
-    beta, _, status = estimator._irls(spec.family, design(data), seg[:, :, None], y)
+    X = designs(spec, data, grid)
+    beta, _, status = estimator._irls(spec.family, X, y)
     near = np.flatnonzero(np.abs(grid - 5.0) < 1.0)
     assert (status[near] == estimator._CONVERGED).all()
-    assert min((design(data, seg[g]) @ beta[g]).min() for g in near) < -709.0
+    assert min((beta[g] @ X[g]).min() for g in near) < -709.0
     assert profile_init(spec, data).tau == pytest.approx(4.90, abs=0.01)
 
 
@@ -164,13 +207,13 @@ def test_non_finite_eta_diverges_alone(family):
     # stack still end as glm_irls fits them one by one.
     spec = make_spec(family=family, bandwidth="n^-3")
     data = make_data(spec, params=TRUTH[family], n=300, seed=33)
-    seg = indicator_segment(spec.form, data.x, np.array([[-0.5], [0.0], [0.5]]))
-    seg[1, 7] = np.nan
-    beta, _, status = estimator._irls(family, design(data), seg[:, :, None], data.y)
+    X = designs(spec, data, [-0.5, 0.0, 0.5])
+    X[1, 2, 7] = np.nan
+    beta, _, status = estimator._irls(family, X, data.y)
     assert list(status) == [estimator._CONVERGED, estimator._DIVERGED, estimator._CONVERGED]
     for g in (0, 2):
-        ref, _ = glm_irls(family, design(data, seg[g]), data.y)
-        np.testing.assert_allclose(beta[g], ref, rtol=1e-12, atol=1e-12)
+        ref, _ = glm_irls(family, X[g].T, data.y)
+        np.testing.assert_array_equal(beta[g], ref)
 
 
 def test_singular_normal_candidate_is_dropped_alone():
@@ -218,23 +261,18 @@ def test_non_finite_smoothed_objective_of_a_candidate_is_a_numeric_error():
 
 @pytest.mark.parametrize("family", list(Family))
 def test_grid_split_into_several_blocks(family, monkeypatch):
-    # At n = 2000 a block holds 8 candidates, so the 25 candidates take
-    # four blocks, and the separated edge candidates share a block with
-    # converging ones.  No stacked candidate x observation array may hold
-    # more than 2^14 values.
+    # At n = 2000 a block holds 8 candidates.  The 25 candidates, less the
+    # four separated logit edge candidates that _no_mle drops, take blocks
+    # of 8 in sorted order, and no stack holds more than p * 2^14 values.
     spec = make_spec(family=family, bandwidth="n^-3" if family is Family.BERNOULLI_LOGIT else "n^-2")
     p = TRUTH[family]
     data = make_data(spec, params=ParamVector(p.beta0, p.beta1, p.beta2, p.tau), n=2000, seed=32)
-    blocks = []
-    irls = estimator._irls
-
-    def recording_irls(family, C, T, *args):
-        blocks.append(T.shape[0])
-        return irls(family, C, T, *args)
-
-    grid = edge_grid(data.x, inner=21)
-    monkeypatch.setattr(estimator, "_irls", recording_irls)
+    grid = np.sort(edge_grid(data.x, inner=21))
+    kept = grid.size - estimator._no_mle(spec, data.x, data.y, grid).sum()
+    assert kept == (21 if family is Family.BERNOULLI_LOGIT else 25)
+    stacks = recording_irls(monkeypatch)
     profile_init(spec, data, tau_grid=tuple(grid))
     monkeypatch.undo()
-    assert blocks == [8, 8, 8, 1]
+    assert [len(X) for X in stacks] == [min(8, kept - i) for i in range(0, kept, 8)]
+    assert all(X.size <= 3 * 2**14 for X in stacks)
     assert_same_winner(spec, data, grid)
