@@ -177,7 +177,7 @@ def test_scenario_level_outside_the_unit_interval_is_usage_error(tmp_path, capsy
     smoke = pathlib.Path(__file__).resolve().parent.parent / "scenarios" / "smoke.scenario"
     scen = tmp_path / "level.scenario"
     scen.write_text(smoke.read_text() + "level = 1.5\n")
-    monkeypatch.setattr(simulate, "profile_init", None)  # a fit would fail with TypeError
+    monkeypatch.setattr(simulate, "profile_init", None)  # no replicate may reach a fit
     assert main(["simulate", "--scenario", str(scen)]) == EXIT_USAGE
     captured = capsys.readouterr()
     assert captured.out == ""

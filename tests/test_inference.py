@@ -223,14 +223,6 @@ def test_level_outside_the_unit_interval_is_a_domain_error(level):
         bootstrap_ci(spec, data, res, B=200, level=level)
 
 
-def test_normal_interval_at_another_level():
-    spec, data, res = fitted(seed=9, n=300)
-    out = run_inference(spec, data, res, level=0.9)
-    half = 1.6448536269514722 * out.se_sandwich
-    np.testing.assert_allclose(out.ci_normal[:, 1] - out.ci_normal[:, 0], 2 * half, rtol=1e-12)
-    assert out.level == 0.9
-
-
 def test_run_inference_without_bootstrap():
     spec, data, res = fitted(seed=9, n=300)
     out = run_inference(spec, data, res)

@@ -105,7 +105,7 @@ def recording_irls(monkeypatch):
     irls = estimator._irls
 
     def recording(family, X, y):
-        stacks.append(X.copy())
+        stacks.append(X)
         return irls(family, X, y)
 
     monkeypatch.setattr(estimator, "_irls", recording)
