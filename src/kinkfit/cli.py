@@ -33,7 +33,7 @@ from .errors import (
 )
 from .estimator import FitResult, fit
 from .families import in_support, parse_family
-from .inference import InferenceResult, run_inference
+from .inference import InferenceResult, _check_level, run_inference
 from .kernels import kernel_order, parse_bandwidth, parse_kernel, validate
 from .model import Dataset, ModelSpec, parse_form
 from .simulate import load_scenario, parse_number, qq_export, run
@@ -58,50 +58,60 @@ _ERROR_EXITS = (
 def ingest_csv(path, y_col, x_col, z_cols, family):
     """Read a dataset from a headered CSV file.
 
-    Rows with a missing value in any mapped column are dropped and
-    counted.  Non-numeric cells and out-of-support responses are data
-    errors naming the offending row by its line number in the file.
+    Rows with a missing value in any mapped column (an empty cell, or a
+    row too short to reach the column) are dropped and counted; blank
+    lines are skipped.  A header name that appears twice maps to its last
+    column.  Non-numeric cells and out-of-support responses are data
+    errors naming the offending row by its line number in the file (the
+    last line of a record that spans several).
     """
-    z_cols = z_cols or []
+    names = [y_col, x_col, *(z_cols or [])]
     try:
         fh = open(path, newline="")
     except OSError as exc:
         raise DataError(f"cannot open {path}: {exc}") from exc
     with fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        for col in [y_col, x_col, *z_cols]:
-            if col not in header:
+        reader = csv.reader(fh)
+        header = next(reader, None) or []
+        position = {name: i for i, name in enumerate(header)}  # the last one wins
+        for col in names:
+            if col not in position:
                 raise DataError(f"column {col!r} not present in {path} (has {header})")
-        xs, ys, zs, lines = [], [], [], []
+        cols = [position[c] for c in names]
+        width = max(cols) + 1
+        rows, lines = [], []
         dropped = 0
-        for rownum, row in enumerate(reader, 2):
-            cells = [row.get(c, "") for c in [y_col, x_col, *z_cols]]
-            if any(c is None or c.strip() == "" for c in cells):
+        for row in reader:
+            if not row:
+                continue
+            if len(row) < width:
                 dropped += 1
                 continue
-            vals = []
-            for col, cell in zip([y_col, x_col, *z_cols], cells):
-                try:
-                    vals.append(float(cell))
-                except ValueError:
-                    raise DataError(
-                        f"{path} row {rownum}, column {col!r}: non-numeric value {cell!r}"
-                    ) from None
-            ys.append(vals[0])
-            xs.append(vals[1])
-            zs.append(vals[2:])
-            lines.append(rownum)
-    y = np.asarray(ys)
+            try:
+                rows.append([float(row[i]) for i in cols])
+            except ValueError:
+                cells = [row[i] for i in cols]
+                if any(c.strip() == "" for c in cells):
+                    dropped += 1
+                    continue
+                for col, cell in zip(names, cells):
+                    try:
+                        float(cell)
+                    except ValueError:
+                        raise DataError(
+                            f"{path} row {reader.line_num}, column {col!r}: "
+                            f"non-numeric value {cell!r}"
+                        ) from None
+            lines.append(reader.line_num)
+    vals = np.asarray(rows).reshape(len(rows), len(names))
+    y = vals[:, 0].copy()
     bad = np.flatnonzero(~in_support(family, y))
     if bad.size:
         raise DataError(
             f"{path} row {lines[bad[0]]}, column {y_col!r}: y value "
-            f"{ys[bad[0]]!r} outside the support of family {family.value}"
+            f"{float(y[bad[0]])!r} outside the support of family {family.value}"
         )
-    data = Dataset(
-        x=np.asarray(xs), y=y, z=np.asarray(zs) if z_cols else None
-    )
+    data = Dataset(x=vals[:, 1].copy(), y=y, z=vals[:, 2:].copy() if z_cols else None)
     return data, dropped
 
 
@@ -175,6 +185,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_fit(args) -> int:
+    _check_level(args.level)
     family = parse_family(args.family)
     z_cols = [c for c in args.z_cols.split(",") if c.strip()]
     data, dropped = ingest_csv(args.input, args.y_col, args.x_col, z_cols, family)

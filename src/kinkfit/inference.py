@@ -135,7 +135,9 @@ def bootstrap_ci(
     order, with how often each was drawn as its count (the weights view of
     the bootstrap, Efron and Tibshirani 1993): about 63% of n rows instead
     of n, fit as the n drawn rows would be, to round-off.  The draws and
-    their stream are those of refitting the drawn rows themselves.
+    their stream are those of refitting the drawn rows themselves.  The
+    drawn rows are those with a positive count, gathered with take (a
+    fraction of the cost of fancy indexing at n = 10 000).
     Resamples whose refit raises a KinkfitError or fails to converge are
     dropped and counted; more than 10% failures aborts.  A level outside
     (0, 1) raises DomainError; counted data raise DataError.  Runs with
@@ -166,8 +168,9 @@ def bootstrap_ci(
             rng.choice(right, size=right.size, replace=True),
         ])
         cnt = np.bincount(idx, minlength=data.n)
-        u = np.flatnonzero(cnt)
-        sample = Dataset(data.x[u], data.y[u], None if data.z is None else data.z[u], cnt[u])
+        u = np.flatnonzero(cnt > 0)
+        sample = Dataset(data.x.take(u), data.y.take(u),
+                         None if data.z is None else data.z.take(u, axis=0), cnt.take(u))
         try:
             refit = fit(spec, sample, init=fit_result.params)
         except KinkfitError:

@@ -33,7 +33,7 @@ import numpy as np
 from . import families
 from .errors import DataError, DomainError, NumericError
 from .families import Family
-from .kernels import BandwidthRule, Kernel, eval_kernel
+from .kernels import CLAMP, BandwidthRule, Kernel, eval_kernel
 
 __all__ = [
     "ModelForm",
@@ -201,16 +201,40 @@ def segment_term(form: ModelForm, x, tau, h: float, kernel: Kernel):
 
     Returns (value, d_tau, d_tau2), each with the shape of x - tau: that of
     x for a scalar tau, G x n for a column of G candidate change points.
-    The 1/h powers only ever multiply kernel values that are exactly zero
-    outside the clamp window, so no inf*0 products arise.  Only tau and h
-    are checked here; an overflow of x - tau reaches the log-likelihood
-    check.
+
+    Every point first gets the hard-indicator limits (K = I(x > tau),
+    K' = K'' = 0), which are exact outside the clamp window |u| > CLAMP,
+    u = (x - tau)/h.  Only the points with |x - tau| <= 2 CLAMP h (a test
+    that can only widen the window), and NaNs, go to eval_kernel and the
+    kernel formulas; at a small bandwidth they are a tiny share.  Outside
+    the window those formulas reduce to the limits bit for bit, since u
+    times a zero derivative is a signed zero; where (x - tau)/h overflows,
+    the limits stand instead of the formulas' inf * 0.  Only tau and h are
+    checked here; an overflow of x - tau reaches the log-likelihood check.
     """
     if not (h > 0 and np.all(np.isfinite(tau))):
         raise DomainError("bandwidth must be positive and tau finite")
     x = np.asarray(x, dtype=float)
     d = x - tau
-    u = d / h
+    shape = d.shape
+    d = d.reshape(-1)
+    if form is ModelForm.LINEAR_LINEAR:
+        kv = (d > 0.0).astype(float)
+        value, d_tau, d_tau2 = d * kv, -kv, np.zeros(d.size)
+    else:
+        # K, or 1 - K for quadratic-linear; a NaN is a window point
+        kv = (d > 0.0 if form is ModelForm.LINEAR_QUADRATIC else d <= 0.0).astype(float)
+        d_tau2 = 2.0 * kv
+        value, d_tau = d * d * kv, -d * d_tau2
+    idx = np.flatnonzero(~(np.abs(d) > 2.0 * CLAMP * h))
+    if idx.size:
+        di = d[idx]
+        value[idx], d_tau[idx], d_tau2[idx] = _kernel_segment(form, di, di / h, kernel, h)
+    return value.reshape(shape), d_tau.reshape(shape), d_tau2.reshape(shape)
+
+
+def _kernel_segment(form: ModelForm, d, u, kernel: Kernel, h: float):
+    """segment_term's kernel formulas at d = x - tau and u = d / h."""
     kv, kp, kpp = eval_kernel(kernel, u)
     if form is ModelForm.LINEAR_LINEAR:
         value = d * kv
@@ -328,13 +352,16 @@ def jacobian_buffer(x, z, G: int, n_par: int) -> np.ndarray:
     """A G x n x n_par buffer for derivative_rows: the Jacobian d theta /
     d delta of G rows with its parameter-free columns [1, x, z] filled
     (columns 0, 1 and 4 on; x and z as in value_rows).  Columns 2 and 3
-    depend on the parameters; derivative_rows writes them.
+    depend on the parameters; derivative_rows writes them.  The covariate
+    columns are filled one at a time: a single D[:, :, 4:] = z copy runs
+    its inner loop over the k columns only, at several times the cost.
     """
     D = np.empty((G, x.shape[-1], n_par))
     D[:, :, 0] = 1.0
     D[:, :, 1] = x
     if z is not None:
-        D[:, :, 4:] = z
+        for j in range(z.shape[-1]):
+            D[:, :, 4 + j] = z[..., j]
     return D
 
 
@@ -345,7 +372,10 @@ def derivative_rows(spec: ModelSpec, params: np.ndarray, y, counts, values, D: n
     values is what value_rows returned for params, y and counts; D is a
     jacobian_buffer of the same rows, whose columns 2 and 3 this pass
     overwrites with seg and beta2 * d_tau.  Returns (Q, S, J, Sigma, ok)
-    as evaluate_rows does, Q being values' own.
+    as evaluate_rows does, Q being values' own.  The weighted Jacobian
+    D * w of Sigma is formed as one flat G x (n * n_par) product, w
+    repeated n_par times: the same products as a broadcast over D's last
+    axis, in one long inner loop instead of n short ones.
     """
     q, theta, seg, d_tau, d_tau2 = values
     b2 = params[:, 2:3]
@@ -358,7 +388,9 @@ def derivative_rows(spec: ModelSpec, params: np.ndarray, y, counts, values, D: n
     resid = r[:, None, :]
     Dt = D.transpose(0, 2, 1)
     S = np.matmul(Dt, resid.transpose(0, 2, 1))[:, :, 0]
-    Sig = np.matmul((D * w[:, :, None]).transpose(0, 2, 1), D)
+    G, n, n_par = D.shape
+    Dw = (D.reshape(G, n * n_par) * np.repeat(w, n_par, axis=1)).reshape(G, n, n_par)
+    Sig = np.matmul(Dw.transpose(0, 2, 1), D)
     J = Sig.copy()
     J[:, 2, 3] -= np.matmul(resid, d_tau[:, :, None])[:, 0, 0]
     J[:, 3, 2] = J[:, 2, 3]

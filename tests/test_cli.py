@@ -117,6 +117,27 @@ def test_non_numeric_cell_names_row_and_column(tmp_path):
         ingest_csv(p, "y", "x", [], Family.NORMAL_IDENTITY)
 
 
+@pytest.mark.parametrize("text, line", [
+    ("y,x\n1,0.5\n\n2,abc\n", 4),  # after a blank line
+    ('y,x,note\n1,0.5,"two\nlines"\n2,abc,c\n', 4),  # after a quoted newline
+], ids=["blank line", "quoted newline"])
+def test_non_numeric_cell_is_named_by_its_file_line(tmp_path, text, line):
+    p = tmp_path / "lines.csv"
+    p.write_text(text)
+    with pytest.raises(DataError, match=rf"row {line}, column 'x'"):
+        ingest_csv(p, "y", "x", [], Family.NORMAL_IDENTITY)
+
+
+def test_short_rows_count_as_missing_and_a_repeated_name_maps_to_its_last_column(tmp_path):
+    rows = ["y,x,x"] + [f"{i},skip,{0.1 * i}" for i in range(8)] + ["9,1.0", "9", ""]
+    p = tmp_path / "short.csv"
+    p.write_text("\n".join(rows) + "\n")
+    data, dropped = ingest_csv(p, "y", "x", [], Family.NORMAL_IDENTITY)
+    assert dropped == 2  # the two short rows; the blank line is skipped
+    np.testing.assert_array_equal(data.x, 0.1 * np.arange(8))
+    np.testing.assert_array_equal(data.y, np.arange(8.0))
+
+
 def test_out_of_support_response_exit_code(tmp_path, capsys):
     p = tmp_path / "sup.csv"
     rows = [[i % 2, 0.1 * i] for i in range(30)]
@@ -152,9 +173,17 @@ def test_missing_column_exit_code(normal_csv, capsys):
 
 
 @pytest.mark.parametrize("level", ["1.5", "1", "0", "nan"])
-def test_level_outside_the_unit_interval_is_usage_error(level, normal_csv, capsys):
+def test_level_outside_the_unit_interval_is_usage_error(level, normal_csv, capsys, monkeypatch):
     # These used to exit 0, with NaN, +-Infinity (not valid JSON) or
-    # zero-width intervals in ci_normal.
+    # zero-width intervals in ci_normal.  The level is checked before the
+    # data are read, so no fit runs.
+    from kinkfit import cli
+
+    def not_reached(*args, **kwargs):
+        raise AssertionError("data read or fit before the level check")
+
+    monkeypatch.setattr(cli, "ingest_csv", not_reached)
+    monkeypatch.setattr(cli, "fit", not_reached)
     code = main(["fit", "--input", str(normal_csv), "--y-col", "y",
                  "--x-col", "x", "--level", level])
     assert code == EXIT_USAGE

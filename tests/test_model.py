@@ -10,12 +10,14 @@ from hypothesis import given, settings, strategies as st
 
 from kinkfit.errors import DataError, DomainError, NumericError
 from kinkfit.families import Family
-from kinkfit.kernels import bandwidth, exp_cdf_kernel, normal_cdf_kernel
+import kinkfit.model as model_module
+from kinkfit.kernels import CLAMP, bandwidth, eval_kernel, exp_cdf_kernel, normal_cdf_kernel
 from kinkfit.model import (
     Dataset,
     ParamVector,
     evaluate,
     indicator_segment,
+    jacobian_buffer,
     objective,
     parse_form,
     segment_term,
@@ -291,6 +293,118 @@ def test_segment_term_rejects_nonfinite_scalars():
     for tau, h in ((np.nan, 0.1), (np.inf, 0.1), (0.5, np.nan), (0.5, 0.0)):
         with pytest.raises(DomainError):
             segment_term(spec.form, x, tau, h, spec.kernel)
+
+
+def full_segment_term(form, x, tau, h, kernel):
+    """segment_term with the kernel formulas over every point: the reference form."""
+    d = np.asarray(x, dtype=float) - tau
+    u = d / h
+    kv, kp, kpp = eval_kernel(kernel, u)
+    if form.value == "linear-linear":
+        return d * kv, -(kv + u * kp), (2.0 * kp + u * kpp) / h
+    if form.value == "linear-quadratic":
+        return d * d * kv, -d * (2.0 * kv + u * kp), 2.0 * kv + 4.0 * u * kp + u * u * kpp
+    omk = 1.0 - kv
+    return d * d * omk, -d * (2.0 * omk - u * kp), 2.0 * omk - 4.0 * u * kp - u * u * kpp
+
+
+def assert_same_bits(got, want):
+    """The three arrays agree in shape and in every bit, signed zeros and NaNs too."""
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        np.testing.assert_array_equal(np.ascontiguousarray(g).view(np.uint64),
+                                      np.ascontiguousarray(w).view(np.uint64))
+
+
+KERNELS = pytest.mark.parametrize("kernel", [normal_cdf_kernel(), exp_cdf_kernel()],
+                                  ids=["normal", "exp"])
+_X = np.sort(np.random.default_rng(8).uniform(-2.0, 2.0, 200))
+_TAUS = np.array([[0.1234567], [_X[57]], [-1.5]])  # off the data, on a data point
+_LAYOUTS = {
+    "shared x, scalar tau": (_X, 0.1234567),
+    "shared x, tau column": (_X, _TAUS),
+    "stacked x, tau column": (np.stack([_X, 0.5 * _X[::-1], _X + 0.25]), _TAUS),
+}
+
+
+@KERNELS
+@pytest.mark.parametrize("form", FORMS)
+@pytest.mark.parametrize("h", [1e-12, 1e-4, 10.0], ids=["window empty", "some", "all"])
+@pytest.mark.parametrize("layout", list(_LAYOUTS))
+def test_window_segment_term_matches_the_full_array_form(layout, h, form, kernel):
+    x, tau = _LAYOUTS[layout]
+    f = parse_form(form)
+    assert_same_bits(segment_term(f, x, tau, h, kernel), full_segment_term(f, x, tau, h, kernel))
+
+
+@KERNELS
+@pytest.mark.parametrize("form", FORMS)
+def test_window_edges_match_the_full_array_form(form, kernel):
+    # Points a few ulps either side of |u| = CLAMP and of the candidate
+    # bound 2 CLAMP h, and one on tau itself (x - tau = 0).
+    h = 1e-3
+    ulps = 1.0 + np.arange(-8, 9) * 2.0**-52
+    d = np.concatenate([CLAMP * h * ulps, 2.0 * CLAMP * h * ulps, [0.0, 0.4]])
+    x = np.concatenate([d, -d])
+    u = np.abs(x / h)
+    assert (u == CLAMP).any() and (u < CLAMP).any() and (u > CLAMP).any()
+    f = parse_form(form)
+    assert_same_bits(segment_term(f, x, 0.0, h, kernel), full_segment_term(f, x, 0.0, h, kernel))
+
+
+@KERNELS
+@pytest.mark.parametrize("form", FORMS)
+@pytest.mark.parametrize("h", [0.1, 1e-8])
+def test_nan_propagates_as_in_the_full_array_form(h, form, kernel):
+    x = np.array([np.nan, 0.5, 3.0, -1.0, np.nan])
+    f = parse_form(form)
+    got = segment_term(f, x, 0.5, h, kernel)
+    assert all(np.isnan(g[[0, 4]]).all() and not np.isnan(g[1:4]).any() for g in got)
+    assert_same_bits(got, full_segment_term(f, x, 0.5, h, kernel))
+
+
+@pytest.mark.parametrize("form", FORMS)
+def test_limits_are_exact_where_u_overflows(form):
+    # (x - tau) / h = +-inf.  The full-array form reads u * K'(u) = inf * 0
+    # there, a NaN; the limits do not depend on h outside the window.
+    x, kern, f = np.array([-1e10, 1e10]), normal_cdf_kernel(), parse_form(form)
+    with np.errstate(all="ignore"):
+        assert np.isnan(full_segment_term(f, x, 0.0, 1e-300, kern)[1]).any()
+    got = segment_term(f, x, 0.0, 1e-300, kern)
+    assert_same_bits(got, segment_term(f, x, 0.0, 1e-6, kern))
+    np.testing.assert_array_equal(got[0], indicator_segment(f, x, 0.0))
+
+
+def test_eval_kernel_sees_only_window_candidates(monkeypatch):
+    # At h = n^-2 a handful of the 2 x 500 points can reach the kernel.
+    seen = []
+
+    def record(kernel, u):
+        seen.append(np.array(u))
+        return eval_kernel(kernel, u)
+
+    monkeypatch.setattr(model_module, "eval_kernel", record)
+    spec = make_spec(form="quadratic-linear")
+    data = make_data(spec, n=500, seed=4)
+    h = bandwidth(spec.bw, data.n)
+    tau = np.array([[data.x[250]], [0.5]])
+    segment_term(spec.form, data.x, tau, h, spec.kernel)
+    (u,) = seen
+    d = data.x - tau
+    near = ~(np.abs(d) > 2.0 * CLAMP * h)
+    assert 1 <= u.size == near.sum() <= 10
+    np.testing.assert_array_equal(u, d[near] / h)
+
+
+def test_jacobian_buffer_fills_the_parameter_free_columns():
+    rng = np.random.default_rng(6)
+    x, z = rng.standard_normal(30), rng.standard_normal((30, 3))
+    for xs, zs in ((x, z), (np.stack([x, -x]), np.stack([z, 2.0 * z]))):
+        D = jacobian_buffer(xs, zs, 2, 7)
+        assert D.shape == (2, 30, 7)
+        np.testing.assert_array_equal(D[:, :, 0], 1.0)
+        np.testing.assert_array_equal(D[:, :, 1], np.broadcast_to(xs, (2, 30)))
+        np.testing.assert_array_equal(D[:, :, 4:], np.broadcast_to(zs, (2, 30, 3)))
 
 
 def test_param_vector_validation():
