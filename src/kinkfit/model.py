@@ -373,9 +373,9 @@ def derivative_rows(spec: ModelSpec, params: np.ndarray, y, counts, values, D: n
     jacobian_buffer of the same rows, whose columns 2 and 3 this pass
     overwrites with seg and beta2 * d_tau.  Returns (Q, S, J, Sigma, ok)
     as evaluate_rows does, Q being values' own.  The weighted Jacobian
-    D * w of Sigma is formed as one flat G x (n * n_par) product, w
-    repeated n_par times: the same products as a broadcast over D's last
-    axis, in one long inner loop instead of n short ones.
+    D * w of Sigma is formed as one flat G x (n * n_par) product, in
+    place in w repeated n_par times: the same products as a broadcast
+    over D's last axis, in one long inner loop instead of n short ones.
     """
     q, theta, seg, d_tau, d_tau2 = values
     b2 = params[:, 2:3]
@@ -389,8 +389,9 @@ def derivative_rows(spec: ModelSpec, params: np.ndarray, y, counts, values, D: n
     Dt = D.transpose(0, 2, 1)
     S = np.matmul(Dt, resid.transpose(0, 2, 1))[:, :, 0]
     G, n, n_par = D.shape
-    Dw = (D.reshape(G, n * n_par) * np.repeat(w, n_par, axis=1)).reshape(G, n, n_par)
-    Sig = np.matmul(Dw.transpose(0, 2, 1), D)
+    Dw = np.repeat(w, n_par, axis=1)
+    np.multiply(D.reshape(G, n * n_par), Dw, out=Dw)
+    Sig = np.matmul(Dw.reshape(G, n, n_par).transpose(0, 2, 1), D)
     J = Sig.copy()
     J[:, 2, 3] -= np.matmul(resid, d_tau[:, :, None])[:, 0, 0]
     J[:, 3, 2] = J[:, 2, 3]

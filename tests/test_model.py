@@ -11,7 +11,14 @@ from hypothesis import given, settings, strategies as st
 from kinkfit.errors import DataError, DomainError, NumericError
 from kinkfit.families import Family
 import kinkfit.model as model_module
-from kinkfit.kernels import CLAMP, bandwidth, eval_kernel, exp_cdf_kernel, normal_cdf_kernel
+from kinkfit.kernels import (
+    CLAMP,
+    bandwidth,
+    custom_kernel,
+    eval_kernel,
+    exp_cdf_kernel,
+    normal_cdf_kernel,
+)
 from kinkfit.model import (
     Dataset,
     ParamVector,
@@ -337,17 +344,28 @@ def test_window_segment_term_matches_the_full_array_form(layout, h, form, kernel
     assert_same_bits(segment_term(f, x, tau, h, kernel), full_segment_term(f, x, tau, h, kernel))
 
 
-@KERNELS
+# Cauchy tails: K' is still 3e-7 at |u| = CLAMP, so a point left out of
+# the window would change the bits.
+_CAUCHY = custom_kernel(k=lambda u: 0.5 + np.arctan(u) / np.pi,
+                        kp=lambda u: 1.0 / (np.pi * (1.0 + u * u)),
+                        kpp=lambda u: -2.0 * u / (np.pi * (1.0 + u * u) ** 2))
+
+
+@pytest.mark.parametrize("kernel", [normal_cdf_kernel(), exp_cdf_kernel(), _CAUCHY],
+                         ids=["normal", "exp", "cauchy"])
 @pytest.mark.parametrize("form", FORMS)
 def test_window_edges_match_the_full_array_form(form, kernel):
     # Points a few ulps either side of |u| = CLAMP and of the candidate
-    # bound 2 CLAMP h, and one on tau itself (x - tau = 0).
-    h = 1e-3
-    ulps = 1.0 + np.arange(-8, 9) * 2.0**-52
-    d = np.concatenate([CLAMP * h * ulps, 2.0 * CLAMP * h * ulps, [0.0, 0.4]])
+    # bound 2 CLAMP h, and one on tau itself (x - tau = 0).  At this h a
+    # point just above CLAMP * h still rounds to |u| = CLAMP.
+    h = 3.121242223018514e-05
+    steps = np.arange(-8, 9)
+    d = np.concatenate([v + steps * np.spacing(v) for v in (CLAMP * h, 2.0 * CLAMP * h)]
+                       + [[0.0, 0.4]])
     x = np.concatenate([d, -d])
     u = np.abs(x / h)
-    assert (u == CLAMP).any() and (u < CLAMP).any() and (u > CLAMP).any()
+    assert (u < CLAMP).any() and (u > CLAMP).any()
+    assert ((np.abs(x) > CLAMP * h) & (u == CLAMP)).any()
     f = parse_form(form)
     assert_same_bits(segment_term(f, x, 0.0, h, kernel), full_segment_term(f, x, 0.0, h, kernel))
 
