@@ -11,6 +11,13 @@ differ whenever any reported number differs:
 - ``sim_logit`` (150 replications) at seeds 1 and 7919;
 - ``cli_boot_poisson`` (n = 10 000, B = 200) at seeds 0, 1, 7 and 7919.
 
+No workload bootstraps at n <= 8192, where one refit block holds more
+than one resample, so one more case does: ``boot_table1`` fits replicate
+0 of ``scenarios/table1.scenario`` (normal, n = 500) with ``kinkfit.fit``
+and runs ``kinkfit.run_inference`` with B = 200 and the case's seed as the
+bootstrap stream, at seeds 1 and 7919.  It hashes the bootstrap and
+normal intervals and the count of resamples used.
+
 A refactor that claims the same numbers shows the same hashes in every
 column.  Each checkout runs in its own subprocess, with ``kinkfit``
 imported from its ``src/``.  Every checkout prepares its inputs in the
@@ -23,9 +30,10 @@ Every case whose hashes differ is also sized: for each reported array it
 prints the largest absolute and relative difference between the first
 checkout and each other one.  The arrays are the study report's counts,
 ``mean``, ``median``, ``sd``, ``avg_se_prop1``, ``avg_se_delta``, the
-coverages and ``estimates`` (``sim_logit``), and the CLI's exit code and
+coverages and ``estimates`` (``sim_logit``), the CLI's exit code and
 the numbers of its JSON output, grouped by key path
-(``cli_boot_poisson``).  The relative difference of two values is
+(``cli_boot_poisson``), and the intervals and resamples used
+(``boot_table1``).  The relative difference of two values is
 |a - b| / max(|a|, |b|); a NaN in one column and not the other reads as
 an infinite difference.
 
@@ -45,7 +53,8 @@ from pathlib import Path
 
 CASES = [("sim_logit", 1), ("sim_logit", 7919),
          ("cli_boot_poisson", 0), ("cli_boot_poisson", 1),
-         ("cli_boot_poisson", 7), ("cli_boot_poisson", 7919)]
+         ("cli_boot_poisson", 7), ("cli_boot_poisson", 7919),
+         ("boot_table1", 1), ("boot_table1", 7919)]
 
 # Run in the checkout's subprocess: argv is (checkout, workdir, cases as JSON);
 # prints one JSON line per case: [name, seed, sha256, {array name: values}].
@@ -81,7 +90,22 @@ def arrays(output):
         numbers(json.loads(output.stdout), "", out)
     return out
 
+def boot_table1(seed):
+    sc = kinkfit.load_scenario(checkout / "scenarios" / "table1.scenario")
+    spec, data = sc.model_spec(), kinkfit.generate(sc, 0)
+    res = kinkfit.fit(spec, data)
+    out = kinkfit.run_inference(spec, data, res, bootstrap_B=200, seed=[seed])
+    values = {"ci_bootstrap": out.ci_bootstrap.ravel().tolist(),
+              "ci_normal": out.ci_normal.ravel().tolist(),
+              "bootstrap_reps_used": [float(out.bootstrap_reps_used)]}
+    return hashlib.sha256(json.dumps([out.ci_bootstrap.tobytes().hex(),
+                                      out.ci_normal.tobytes().hex(),
+                                      out.bootstrap_reps_used]).encode()).hexdigest(), values
+
 for name, seed in cases:
+    if name == "boot_table1":
+        print(json.dumps([name, seed, *boot_table1(seed)]), flush=True)
+        continue
     wl = workloads.WORKLOADS[name]()
     wl.prepare(seed, workdir)
     output = wl.call()

@@ -61,9 +61,10 @@ def ingest_csv(path, y_col, x_col, z_cols, family):
     Rows with a missing value in any mapped column (an empty cell, or a
     row too short to reach the column) are dropped and counted; blank
     lines are skipped.  A header name that appears twice maps to its last
-    column.  Non-numeric cells and out-of-support responses are data
-    errors naming the offending row by its line number in the file (the
-    last line of a record that spans several).
+    column.  Non-numeric cells (an underscore counts: float would read
+    1_0 as 10), non-finite ones (nan, inf) and out-of-support responses
+    are data errors naming the offending cell by its line number in the
+    file (the last line of a record that spans several) and its column.
     """
     names = [y_col, x_col, *(z_cols or [])]
     try:
@@ -87,23 +88,28 @@ def ingest_csv(path, y_col, x_col, z_cols, family):
             if len(row) < width:
                 dropped += 1
                 continue
+            cells = [row[i] for i in cols]
             try:
-                rows.append([float(row[i]) for i in cols])
+                values = [float(c) for c in cells]
             except ValueError:
-                cells = [row[i] for i in cols]
                 if any(c.strip() == "" for c in cells):
                     dropped += 1
                     continue
-                for col, cell in zip(names, cells):
-                    try:
-                        float(cell)
-                    except ValueError:
-                        raise DataError(
-                            f"{path} row {reader.line_num}, column {col!r}: "
-                            f"non-numeric value {cell!r}"
-                        ) from None
+                values = None
+            if values is None or "_" in "".join(cells):
+                col, cell = next((n, c) for n, c in zip(names, cells) if not _is_number(c))
+                raise DataError(
+                    f"{path} row {reader.line_num}, column {col!r}: non-numeric value {cell!r}"
+                )
+            rows.append(values)
             lines.append(reader.line_num)
     vals = np.asarray(rows).reshape(len(rows), len(names))
+    bad = np.argwhere(~np.isfinite(vals))
+    if bad.size:
+        r, j = bad[0]
+        raise DataError(
+            f"{path} row {lines[r]}, column {names[j]!r}: non-finite value {float(vals[r, j])!r}"
+        )
     y = vals[:, 0].copy()
     bad = np.flatnonzero(~in_support(family, y))
     if bad.size:
@@ -113,6 +119,15 @@ def ingest_csv(path, y_col, x_col, z_cols, family):
         )
     data = Dataset(x=vals[:, 1].copy(), y=y, z=vals[:, 2:].copy() if z_cols else None)
     return data, dropped
+
+
+def _is_number(cell: str) -> bool:
+    """Whether float reads cell as written: no underscore between digits."""
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return "_" not in cell
 
 
 def _fit_result_dict(fr: FitResult) -> dict:

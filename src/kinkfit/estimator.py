@@ -13,8 +13,9 @@ with ridge escalation.
 The Newton ascent is one stacked loop over G problems of the same size
 (_newton): each problem takes its own steps, halvings and stop, and
 leaves the loop when it stops.  fit is its one-problem case; fit_stack
-runs a block of problems, such as the replicates of a Monte Carlo study,
-at once.  A problem's result does not depend on the block it runs in.
+runs a block of problems, such as the replicates of a Monte Carlo study
+or the resamples of a bootstrap, at once.  A problem's result does not
+depend on the block it runs in.
 Each step-halving trial is one value pass of the model (model.value_rows);
 an accepted trial's arrays go on to the derivative pass
 (model.derivative_rows), so a trial costs one segment-term evaluation,
@@ -54,7 +55,6 @@ from .model import (
     design,
     indicator_segment,
     jacobian_buffer,
-    objective_rows,
     segment_term,
     value_rows,
 )
@@ -248,17 +248,15 @@ def profile_init(
     least one, so that the stacked designs of a block hold at most
     p * 2^14 values; at n = 500 the 21-point automatic grid is one block.
     A block is fit by one stacked IRLS, and its converged candidates, as
-    parameter vectors in ParamVector order, are scored by one
-    objective_rows pass; a zero beta2 is scored as 1e-10.  Each
+    parameter vectors in ParamVector order, are scored by one value_rows
+    pass; a zero beta2 is scored as 1e-10.  Each
     candidate's fit and score are those of glm_irls and objective on it
     alone, bit for bit, so the blocks bound memory and change no result.
     A candidate whose IRLS fails (singular, diverged or not converged) is
     dropped alone.  A converged candidate whose smoothed objective is not
     finite raises NumericError.  The winner is the candidate maximizing
     the smoothed objective, ties going to the smallest candidate.
-    Counted data (Dataset.counts) raise DataError.
     """
-    data.require_uncounted("profile_init")
     data.check_family(spec.family)
     h = bandwidth(spec.bw, data.n)
     if tau_grid is not None:
@@ -288,8 +286,8 @@ def profile_init(
         rows = np.insert(beta[ok], 3, taus[ok], axis=1)  # ParamVector order
         scored = rows.copy()
         scored[scored[:, 2] == 0.0, 2] = _BETA2_EPS
-        values = objective_rows(spec, scored, data.x, data.y, data.z, None, h)
-        if not np.isfinite(values).all():  # objective_rows reads them as -inf
+        values = value_rows(spec, scored, data.x, data.y, data.z, None, h)[0]
+        if not np.isfinite(values).all():  # value_rows reads them as -inf
             raise NumericError("non-finite smoothed objective of a profile candidate")
         g = int(np.argmax(values))
         if values[g] > best_q:
@@ -328,21 +326,23 @@ def _pick(arrays, sel):
 def _second_extremes(x: np.ndarray, c):
     """Second smallest and second largest of the observations that the
     rows of x stand for, counts c (None: once each), per problem of the
-    G x n stack.
+    G x n stack.  A row counting 0 stands for no observation.
 
-    The smallest x is its own neighbour when its row counts two or more;
-    otherwise the neighbour is the second smallest row, which is the
-    smallest again when rows tie there.  Likewise for the largest.
+    The smallest observation is its own neighbour when two or more
+    observations take its value; otherwise the neighbour is the next
+    larger observed row.  Likewise for the largest.
     """
-    n = x.shape[1]
-    s = np.sort(x, axis=1)
-    # min/max keep the indices in range for a single stored row
-    lo, hi = s[:, min(1, n - 1)], s[:, max(n - 2, 0)]
     if c is None:
-        return lo, hi
+        n = x.shape[1]
+        s = np.sort(x, axis=1)
+        # min/max keep the indices in range for a single stored row
+        return s[:, min(1, n - 1)], s[:, max(n - 2, 0)]
+    s = np.sort(np.where(c > 0, x, np.nan), axis=1)  # unobserved rows sort last
     rows = np.arange(len(x))
-    lo = np.where(c[rows, x.argmin(axis=1)] >= 2, s[:, 0], lo)
-    hi = np.where(c[rows, x.argmax(axis=1)] >= 2, s[:, -1], hi)
+    last = np.count_nonzero(c, axis=1) - 1  # the largest observed row
+    lo, hi = s[:, 0], s[rows, last]
+    lo = np.where((c * (x == lo[:, None])).sum(axis=1) >= 2, lo, s[rows, np.minimum(1, last)])
+    hi = np.where((c * (x == hi[:, None])).sum(axis=1) >= 2, hi, s[rows, np.maximum(last - 1, 0)])
     return lo, hi
 
 
@@ -351,8 +351,8 @@ def _newton(spec: ModelSpec, x, y, z, c, start: np.ndarray, h: float):
 
     Problem g has the observations x[g], y[g] and z[g] (G x n, G x n and
     G x n x k, z None without covariates), observation i counting c[g, i]
-    times (c None: once each; every row of c sums to the same N), and
-    starts from row g of the G x (4 + k) start.  The gradient tolerance
+    times (c None: once each; zeros allowed; every row of c sums to the
+    same N), and starts from row g of the G x (4 + k) start.  The gradient tolerance
     and the change point's bounds x(2) and x(N-1) are those of the N
     observations, not of the n stored rows.  Returns (p, q, S, J, Sig,
     iterations, status) stacked over the problems, status being one of
@@ -518,14 +518,19 @@ def fit_stack(spec: ModelSpec, x, y, z, starts, counts=None) -> list:
     stacked Newton loop.
 
     Problem g has the observations x[g], y[g] and z[g] (G x n, G x n and
-    G x n x k arrays; z is None without covariates) and starts from
-    starts[g], a ParamVector.  counts is None or the G x n stack of the
-    problems' Dataset.counts; every row of it must then sum to the same
-    number of observations N, which sets the bandwidth in place of n.
-    The caller checks the responses' support and bounds G, normally by
+    G x n x k arrays, which may be broadcast views of shared rows; z is
+    None without covariates) and starts from starts[g], a ParamVector.
+    counts is None (each observation once) or G x n: observation i of
+    problem g then stands for counts[g, i] identical observations, and for
+    none at a count of zero, as in a bootstrap block's resamples.  Every
+    row of counts must sum to the same number of observations N, which
+    takes the place of n in the bandwidth and the gradient test; the
+    change point's bounds are those of the N observations.  The caller
+    checks the responses' support and bounds G, normally by
     rows_per_block(n).  Returns one entry per problem, in order: its
     FitResult, or the KinkfitError that fit would raise for it.  Each
-    entry is bit for bit what fit returns for that problem alone.
+    entry is bit for bit what fit_stack returns for that problem alone,
+    which for a problem without counts is what fit returns.
     """
     h = bandwidth(spec.bw, x.shape[1] if counts is None else int(counts[0].sum()))
     start = np.array([s.to_array() for s in starts])
@@ -572,15 +577,15 @@ def fit(
     once the gradient is small and the halved step below the tolerance);
     convergence requires a small gradient, a small accepted step, and a
     positive definite negative Hessian.  The fit gives up after 100
-    iterations.  This is fit_stack on one problem.  Counted data
-    (Dataset.counts) fit as their expansion does, to round-off; they need
-    an explicit init, since profile_init does not take them.
+    iterations.  This is fit_stack on one problem; the Monte Carlo
+    studies and the bootstrap call fit_stack on blocks of problems, each
+    of which gets this fit's result for it.
     """
     if init is None:
         init = profile_init(spec, data, tau_grid)
     data.check_family(spec.family)
-    x, y, z, c = _pick((data.x, data.y, data.z, data.counts), None)  # stacks of one
-    result = fit_stack(spec, x, y, z, [init], c)[0]
+    x, y, z = _pick((data.x, data.y, data.z), None)  # stacks of one
+    result = fit_stack(spec, x, y, z, [init])[0]
     if isinstance(result, KinkfitError):
         raise result
     return result
@@ -590,9 +595,8 @@ def fit_beta_given_tau(spec: ModelSpec, data: Dataset, tau: float, h: float) -> 
     """Coefficients maximizing the smoothed objective with tau frozen.
 
     theta is linear in the coefficients, so this is an ordinary GLM on the
-    smoothed segment regressor.  Counted data raise DataError.
+    smoothed segment regressor.
     """
-    data.require_uncounted("fit_beta_given_tau")
     seg, _, _ = segment_term(spec.form, data.x, tau, h, spec.kernel)
     beta, _ = glm_irls(spec.family, design(data, seg), data.y)
     return beta

@@ -4,9 +4,11 @@ Two routes: the large-sample covariance from the information identity
 (the score-covariance matrix doubles as the expected negative Hessian
 under the natural link, so the covariance estimate is its inverse), and a
 stratified percentile bootstrap that resamples separately on each side of
-the estimated change point.  A bootstrap resample is refit as the
-original data's distinct drawn rows, each weighted by how often it was
-drawn (Dataset.counts), which fits as the drawn rows themselves do.
+the estimated change point.  The bootstrap refits its resamples in blocks
+through estimator.fit_stack, as the Monte Carlo studies fit their
+replicates: a block's resamples share the rows any of them drew, and
+each weighs those rows by how often it drew them, which fits as its
+drawn rows themselves do.
 
 The delta-method standard errors (Muggeo 2003) come from the GLM
 linearized at a working change point tau0, in the regressors seg and
@@ -26,8 +28,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import lapack
 
-from .errors import BootstrapError, DomainError, InferenceError, KinkfitError
-from .estimator import FitResult, fit
+from .errors import BootstrapError, DomainError, InferenceError
+from .estimator import FitResult, fit_stack, rows_per_block
 from .model import Dataset, ModelSpec
 
 __all__ = [
@@ -130,18 +132,19 @@ def bootstrap_ci(
     Observations are split at the estimated change point (x <= tau_hat vs
     x > tau_hat) and resampled with replacement within each stratum,
     preserving stratum sizes; resample b draws from the stream
-    (*seed, b).  Each resample is refit by fit with the original estimate
-    as warm start, on the rows it drew at least once, in their original
-    order, with how often each was drawn as its count (the weights view of
-    the bootstrap, Efron and Tibshirani 1993): about 63% of n rows instead
-    of n, fit as the n drawn rows would be, to round-off.  The draws and
-    their stream are those of refitting the drawn rows themselves.  The
-    drawn rows are those with a positive count, gathered with take (a
-    fraction of the cost of fancy indexing at n = 10 000).
-    Resamples whose refit raises a KinkfitError or fails to converge are
+    (*seed, b).  The resamples are refit in blocks of rows_per_block(n),
+    each block by one fit_stack call with the original estimate as every
+    problem's warm start.  A block refits on the union of the rows its
+    resamples drew, in their original order, shared by all its problems;
+    each resample is one row of counts over them, how often it drew each
+    row, zeros allowed (the weights view of the bootstrap, Efron and
+    Tibshirani 1993).  So a resample fits as its n drawn rows would, to
+    round-off, and a block of one (n > 8192) fits on the about 63% of
+    rows that its resample drew.  The responses' support is checked once.
+    Resamples whose refit fails (a KinkfitError) or does not converge are
     dropped and counted; more than 10% failures aborts.  A level outside
-    (0, 1) raises DomainError; counted data raise DataError.  Runs with
-    numpy's floating-point warnings off, as fit does.
+    (0, 1) raises DomainError.  Runs with numpy's floating-point warnings
+    off, as fit does.
 
     Returns (intervals (4+k) x 2, reps_used).
     """
@@ -150,7 +153,7 @@ def bootstrap_ci(
         raise BootstrapError("bootstrap needs B >= 200")
     if not fit_result.converged:
         raise BootstrapError("cannot bootstrap a non-converged fit")
-    data.require_uncounted("bootstrap_ci")
+    data.check_family(spec.family)
     tau_hat = fit_result.params.tau
     left = np.flatnonzero(data.x <= tau_hat)
     right = np.flatnonzero(data.x > tau_hat)
@@ -159,27 +162,32 @@ def bootstrap_ci(
             f"stratum too small to resample ({left.size} left, {right.size} right)"
         )
     base = list(seed) if isinstance(seed, (list, tuple)) else [seed]
+    block = rows_per_block(data.n)
     draws = []
     failed = 0
-    for b in range(B):
-        rng = np.random.default_rng([*base, b])
-        idx = np.concatenate([
-            rng.choice(left, size=left.size, replace=True),
-            rng.choice(right, size=right.size, replace=True),
-        ])
-        cnt = np.bincount(idx, minlength=data.n)
-        u = np.flatnonzero(cnt > 0)
-        sample = Dataset(data.x.take(u), data.y.take(u),
-                         None if data.z is None else data.z.take(u, axis=0), cnt.take(u))
-        try:
-            refit = fit(spec, sample, init=fit_result.params)
-        except KinkfitError:
-            failed += 1
-            continue
-        if not refit.converged:
-            failed += 1
-            continue
-        draws.append(refit.params.to_array())
+    for first in range(0, B, block):
+        reps = range(first, min(first + block, B))
+        counts = np.empty((len(reps), data.n))
+        for g, b in enumerate(reps):
+            rng = np.random.default_rng([*base, b])
+            idx = np.concatenate([
+                rng.choice(left, size=left.size, replace=True),
+                rng.choice(right, size=right.size, replace=True),
+            ])
+            counts[g] = np.bincount(idx, minlength=data.n)
+        # The drawn rows, gathered with take (a fraction of the cost of
+        # fancy indexing at n = 10 000) and shared by the block's problems.
+        u = np.flatnonzero(counts.any(axis=0))
+        shape = (len(reps), u.size)
+        x = np.broadcast_to(data.x.take(u), shape)
+        y = np.broadcast_to(data.y.take(u), shape)
+        z = None if data.z is None else np.broadcast_to(data.z.take(u, axis=0), shape + (data.k,))
+        refits = fit_stack(spec, x, y, z, [fit_result.params] * len(reps), counts.take(u, axis=1))
+        for refit in refits:
+            if isinstance(refit, FitResult) and refit.converged:
+                draws.append(refit.params.to_array())
+            else:
+                failed += 1
     if failed > 0.10 * B:
         raise BootstrapError(f"{failed}/{B} bootstrap refits failed")
     draws = np.asarray(draws)
@@ -196,11 +204,9 @@ def run_inference(
     seed=0,
 ) -> InferenceResult:
     """Assemble all inference outputs for a converged fit.  A level
-    outside (0, 1) raises DomainError; counted data (Dataset.counts) raise
-    DataError.  Runs with numpy's floating-point warnings off, as fit
-    does."""
+    outside (0, 1) raises DomainError.  Runs with numpy's floating-point
+    warnings off, as fit does."""
     _check_level(level)
-    data.require_uncounted("run_inference")
     cov = sandwich_cov(fit_result)
     se = np.sqrt(np.diag(cov))
     est = fit_result.params.to_array()

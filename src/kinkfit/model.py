@@ -16,7 +16,10 @@ theta, the segment term and the objective; derivative_rows goes on from
 those arrays to the score and the curvature matrices, writing into a
 Jacobian buffer whose parameter-free columns are filled once.  A caller
 that accepts a trial point keeps the trial's value pass and runs only
-the derivative pass.
+the derivative pass.  Both passes take an optional G x n array of
+counts: observation i of row g then stands for counts[g, i] identical
+observations, and for none at a count of zero, as in the resamples of a
+bootstrap block.
 
 objective and evaluate run with numpy's floating-point warnings off: a
 value that is not finite raises NumericError, with no RuntimeWarning
@@ -44,9 +47,7 @@ __all__ = [
     "indicator_segment",
     "design",
     "objective",
-    "objective_rows",
     "evaluate",
-    "evaluate_rows",
     "value_rows",
     "jacobian_buffer",
     "derivative_rows",
@@ -116,20 +117,11 @@ class ParamVector:
 
 @dataclass(frozen=True)
 class Dataset:
-    """Observations (x, y) with optional extra covariates z (n x k).
-
-    counts, when given, holds the multiplicity of each of the n stored
-    rows, positive integers: row i stands for counts[i] identical
-    observations, so the data hold sum(counts) observations and fit as
-    their expansion does, to round-off.  A bootstrap resample is its
-    distinct rows with their counts.  None means once each.  n is the
-    number of stored rows either way.
-    """
+    """Observations (x, y) with optional extra covariates z (n x k)."""
 
     x: np.ndarray
     y: np.ndarray
     z: np.ndarray | None = None
-    counts: np.ndarray | None = None
 
     def __post_init__(self):
         x = np.asarray(self.x, dtype=float)
@@ -151,24 +143,8 @@ class Dataset:
                 raise DataError("z must be finite")
             object.__setattr__(self, "z", z)
             k = z.shape[1]
-        size = x.size
-        if self.counts is not None:
-            raw = np.asarray(self.counts)
-            if raw.shape != x.shape:
-                raise DataError("counts must hold one entry per row of x")
-            bad = DataError("counts must be positive integers")
-            if raw.dtype.kind not in "iuf":
-                raise bad
-            # Stored as floats: they weight float sums, and a float times a
-            # float needs no cast.  An infinite count makes the sum infinite.
-            c = raw.astype(float)
-            total = c.sum()
-            if not (np.all((c >= 1) & (c == np.floor(c))) and np.isfinite(total)):
-                raise bad
-            object.__setattr__(self, "counts", c)
-            size = int(total)
-        if size < 5 + k:
-            raise DataError(f"need at least {5 + k} observations, got {size}")
+        if x.size < 5 + k:
+            raise DataError(f"need at least {5 + k} observations, got {x.size}")
 
     @property
     def n(self) -> int:
@@ -181,19 +157,6 @@ class Dataset:
     def check_family(self, family: Family) -> None:
         if not families.in_support(family, self.y).all():
             raise DataError(f"y values outside the support of family {family.value}")
-
-    def take(self, idx: np.ndarray) -> "Dataset":
-        return Dataset(
-            self.x[idx],
-            self.y[idx],
-            None if self.z is None else self.z[idx],
-            None if self.counts is None else self.counts[idx],
-        )
-
-    def require_uncounted(self, consumer: str) -> None:
-        """DataError for a consumer that treats every row as one observation."""
-        if self.counts is not None:
-            raise DataError(f"{consumer} does not take counted data (Dataset.counts)")
 
 
 def segment_term(form: ModelForm, x, tau, h: float, kernel: Kernel):
@@ -295,38 +258,32 @@ def _theta(spec: ModelSpec, params: np.ndarray, x, z, h: float):
     return theta, seg, d_tau, d_tau2
 
 
-def _rows(data: Dataset):
-    """The dataset as a stack of one row: (x, y, z, counts) with a leading
-    axis; z and counts stay None when absent."""
-    return tuple(None if v is None else v[None] for v in (data.x, data.y, data.z, data.counts))
-
-
 def _terms(family: Family, theta: np.ndarray, y: np.ndarray) -> np.ndarray:
     return y * theta - families.cumulant(family, theta)
 
 
 def _sum_obs(terms: np.ndarray, c) -> np.ndarray:
-    """Sum over the observations (last axis), each row weighted by its count."""
+    """Sum over the observations (last axis), each weighted by its count
+    (c None: once each)."""
     return terms.sum(axis=-1) if c is None else (c * terms).sum(axis=-1)
 
 
 @np.errstate(all="ignore")
 def objective(spec: ModelSpec, params: ParamVector, data: Dataset, h: float) -> float:
     """Smoothed log-likelihood sum(y * theta - b(theta)), dropping the
-    parameter-free log c(y) term.  Each row counts data.counts times.
-    The one evaluation that names a non-finite contribution: it raises
-    NumericError with the index of the first observation whose y * theta
-    or b(theta) is not finite.
+    parameter-free log c(y) term.  The one evaluation that names a
+    non-finite contribution: it raises NumericError with the index of the
+    first observation whose y * theta or b(theta) is not finite.
     """
-    x, y, z, c = _rows(data)
-    terms = _terms(spec.family, _theta(spec, params.to_array()[None], x, z, h)[0], y)
+    theta = _theta(spec, params.to_array()[None], data.x, data.z, h)[0]
+    terms = _terms(spec.family, theta, data.y)
     bad = ~np.isfinite(terms)
     if bad.any():
         idx = int(np.nonzero(bad)[-1][0])
         raise NumericError(
             f"non-finite objective contribution at observation {idx}", index=idx
         )
-    return float(_sum_obs(terms, c)[0])
+    return float(terms.sum(axis=-1)[0])
 
 
 def value_rows(spec: ModelSpec, params: np.ndarray, x, y, z, counts, h: float):
@@ -336,11 +293,11 @@ def value_rows(spec: ModelSpec, params: np.ndarray, x, y, z, counts, h: float):
     Row g of the G x (4 + k) params is evaluated on the observations x[g],
     y[g] and z[g] (G x n, G x n and G x n x k; or x, y and z shared by
     every row, n, n and n x k; z is None without covariates),
-    observation i counting counts[g, i] times (G x n, the stacked
-    Dataset.counts; None means once each).  Returns (Q, theta, seg, d_tau,
-    d_tau2): Q[g] is row g's objective(), -inf where its log-likelihood is
-    not finite, and the others are theta, the segment term and its two
-    tau-derivatives, each G x n.  The tuple is derivative_rows' values.
+    observation i counting counts[g, i] times (G x n, zeros allowed; None
+    means once each).  Returns (Q, theta, seg, d_tau, d_tau2): Q[g] is
+    row g's objective(), -inf where its log-likelihood is not finite, and
+    the others are theta, the segment term and its two tau-derivatives,
+    each G x n.  The tuple is derivative_rows' values.
     Works on G x n arrays; the caller bounds G.
     """
     theta, seg, d_tau, d_tau2 = _theta(spec, params, x, z, h)
@@ -366,16 +323,22 @@ def jacobian_buffer(x, z, G: int, n_par: int) -> np.ndarray:
 
 
 def derivative_rows(spec: ModelSpec, params: np.ndarray, y, counts, values, D: np.ndarray):
-    """The derivative pass of G problems of the same size: evaluate_rows
-    from the value pass at the same params.
+    """The derivative pass of G problems of the same size, from the value
+    pass at the same params.
 
     values is what value_rows returned for params, y and counts; D is a
     jacobian_buffer of the same rows, whose columns 2 and 3 this pass
-    overwrites with seg and beta2 * d_tau.  Returns (Q, S, J, Sigma, ok)
-    as evaluate_rows does, Q being values' own.  The weighted Jacobian
-    D * w of Sigma is formed as one flat G x (n * n_par) product, in
-    place in w repeated n_par times: the same products as a broadcast
-    over D's last axis, in one long inner loop instead of n short ones.
+    overwrites with seg and beta2 * d_tau.  The counts weight every sum
+    over observations.  Returns (Q, S, J, Sigma, ok), each stacked over
+    the G rows, Q being values' own: evaluate() of each row, with ok[g]
+    False where row g's objective, score or negative Hessian is not
+    finite, and that row's values mean nothing.  Every sum over
+    observations is a matrix product, so each row's numbers are those of
+    a stack of one.  Works on G x n x (4 + k) arrays; the caller bounds G.
+    The weighted Jacobian D * w of Sigma is formed as one flat
+    G x (n * n_par) product, in place in w repeated n_par times: the same
+    products as a broadcast over D's last axis, in one long inner loop
+    instead of n short ones.
     """
     q, theta, seg, d_tau, d_tau2 = values
     b2 = params[:, 2:3]
@@ -400,32 +363,6 @@ def derivative_rows(spec: ModelSpec, params: np.ndarray, y, counts, values, D: n
     return q, S, J, Sig, ok
 
 
-def objective_rows(spec: ModelSpec, params: np.ndarray, x, y, z, counts, h: float) -> np.ndarray:
-    """objective() of G problems of the same size in one pass: the Q of
-    value_rows, with its rows, observations and counts.  A row whose
-    log-likelihood is not finite reads -inf instead of raising.
-    """
-    return value_rows(spec, params, x, y, z, counts, h)[0]
-
-
-def evaluate_rows(spec: ModelSpec, params: np.ndarray, x, y, z, counts, h: float):
-    """evaluate() of G problems of the same size in one pass.
-
-    Rows, observations and counts as in value_rows; the counts weight
-    every sum over observations.  Returns (Q, S, J, Sigma, ok), each
-    stacked over the G rows; ok[g] is False where row g's objective, score
-    or negative Hessian is not finite, and that row's values mean nothing.
-    Every sum over observations is a matrix product, so each row's numbers
-    are those of a stack of one.  Works on G x n x (4 + k) arrays; the
-    caller bounds G.  The value pass, then the derivative pass into a new
-    jacobian_buffer; a caller that evaluates the same rows again keeps
-    the buffer and calls the two passes itself.
-    """
-    values = value_rows(spec, params, x, y, z, counts, h)
-    D = jacobian_buffer(x, z, len(params), params.shape[1])
-    return derivative_rows(spec, params, y, counts, values, D)
-
-
 @np.errstate(all="ignore")
 def evaluate(spec: ModelSpec, params: ParamVector, data: Dataset, h: float):
     """Objective, score, negated Hessian and score covariance in one pass.
@@ -436,10 +373,13 @@ def evaluate(spec: ModelSpec, params: ParamVector, data: Dataset, h: float):
     matrix sum_i b''(theta_i) D_i D_i^t, the model covariance of the score
     (positive semidefinite by construction).  J equals Sigma plus the
     residual terms of the (beta2, tau) and (tau, tau) entries, the two
-    places where theta is nonlinear in the parameters.  Every sum over
-    observations weights row i by data.counts[i].
+    places where theta is nonlinear in the parameters.  The value pass,
+    then the derivative pass into a new jacobian_buffer.
     """
-    q, S, J, Sig, ok = evaluate_rows(spec, params.to_array()[None], *_rows(data), h)
+    p = params.to_array()[None]
+    values = value_rows(spec, p, data.x, data.y, data.z, None, h)
+    D = jacobian_buffer(data.x, data.z, 1, p.shape[1])
+    q, S, J, Sig, ok = derivative_rows(spec, p, data.y, None, values, D)
     if not ok[0]:
         objective(spec, params, data, h)  # names a non-finite contribution
         raise NumericError("non-finite score or negative Hessian")

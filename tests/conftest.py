@@ -2,6 +2,8 @@
 import numpy as np
 import pytest
 
+from kinkfit.errors import KinkfitError
+from kinkfit.estimator import fit_stack
 from kinkfit.families import Family, sample
 from kinkfit.kernels import normal_cdf_kernel, parse_bandwidth
 from kinkfit.model import Dataset, ModelSpec, ParamVector, indicator_segment, parse_form
@@ -39,13 +41,19 @@ def make_data(spec, params=TRUE, n=200, seed=0, x_lo=-2.0, x_hi=2.0, noise=True)
     return Dataset(x=x, y=y, z=z)
 
 
-def make_counted(data, seed, end_counts=(1, 1), tie=False):
-    """data with a count of 1-3 per row, and its expansion.
+def take(data, idx):
+    """The rows idx of data, in that order and repeats allowed, as a Dataset."""
+    return Dataset(data.x[idx], data.y[idx], None if data.z is None else data.z[idx])
 
-    The rows at the smallest and the largest x count end_counts.  With
-    tie, one more row takes the smallest x and two interior rows share an
-    x value.  Returns (counted, expansion): the rows with their counts, and
-    the same observations as plain rows, each repeated count times.
+
+def make_counted(data, seed, end_counts=(1, 1), tie=False):
+    """Rows of data with a count of 1-3 each, and their expansion.
+
+    The rows at the smallest and the largest x count end_counts; a count of
+    0 leaves that row out of the observations.  With tie, one more row
+    takes the smallest x and two interior rows share an x value.  Returns
+    (rows, counts, expansion): the rows as a Dataset, their counts, and the
+    same observations as plain rows, each row repeated count times.
     """
     rng = np.random.default_rng(seed)
     x = data.x.copy()
@@ -55,13 +63,27 @@ def make_counted(data, seed, end_counts=(1, 1), tie=False):
     if tie:
         i, j, k = rng.choice(np.setdiff1d(np.arange(data.n), [lo, hi]), 3, replace=False)
         x[i], x[j] = x[lo], x[k]
-    plain = Dataset(x, data.y, data.z)
-    return Dataset(x, data.y, data.z, c), plain.take(np.repeat(np.arange(data.n), c))
+    rows = Dataset(x, data.y, data.z)
+    return rows, c, take(rows, np.repeat(np.arange(data.n), c))
 
 
 # Counted-data cases: the counts of the rows at the smallest and the
-# largest x, and whether x values are tied (at the minimum and inside).
-COUNT_CASES = [((1, 1), False), ((2, 1), False), ((1, 3), False), ((1, 1), True), ((3, 2), True)]
+# largest x (0, 1, or 2 and more at each), and whether x values are tied
+# (at the minimum and inside).
+COUNT_CASES = [((1, 1), False), ((2, 1), False), ((1, 3), False), ((1, 1), True), ((3, 2), True),
+               ((0, 1), False), ((1, 0), False), ((0, 2), False), ((3, 0), False), ((0, 0), True)]
+
+
+def fit_counted(spec, rows, counts, init):
+    """What fit returns for the observations that rows stand for, row i
+    counting counts[i] times: fit_stack on one problem with its counts.
+    Raises the KinkfitError that fit_stack returns."""
+    z = None if rows.z is None else rows.z[None]
+    result = fit_stack(spec, rows.x[None], rows.y[None], z, [init],
+                       np.asarray(counts, dtype=float)[None])[0]
+    if isinstance(result, KinkfitError):
+        raise result
+    return result
 
 
 def make_case_control_like(seed, n=771):

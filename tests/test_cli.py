@@ -128,6 +128,22 @@ def test_non_numeric_cell_is_named_by_its_file_line(tmp_path, text, line):
         ingest_csv(p, "y", "x", [], Family.NORMAL_IDENTITY)
 
 
+@pytest.mark.parametrize("cell, what", [
+    ("nan", "non-finite"), ("-Infinity", "non-finite"), (" inf", "non-finite"),
+    ("1_0", "non-numeric"), ("0.1_5", "non-numeric"),
+])
+@pytest.mark.parametrize("col", ["y", "x", "z1"])
+def test_non_finite_or_underscored_cell_names_row_and_column(tmp_path, col, cell, what):
+    # float() reads each of these cells: nan and inf as non-finite values,
+    # 1_0 as 10.
+    rows = [[i % 3, 0.1 * i, 0.2 * i] for i in range(30)]
+    rows[7][("y", "x", "z1").index(col)] = cell
+    p = tmp_path / "cells.csv"
+    write_csv(p, rows, header=("y", "x", "z1"))
+    with pytest.raises(DataError, match=rf"row 9, column '{col}': {what} value"):
+        ingest_csv(p, "y", "x", ["z1"], Family.POISSON_LOG)
+
+
 def test_short_rows_count_as_missing_and_a_repeated_name_maps_to_its_last_column(tmp_path):
     rows = ["y,x,x"] + [f"{i},skip,{0.1 * i}" for i in range(8)] + ["9,1.0", "9", ""]
     p = tmp_path / "short.csv"

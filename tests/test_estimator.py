@@ -15,7 +15,7 @@ from kinkfit.families import Family
 from kinkfit.kernels import bandwidth
 from kinkfit.model import Dataset, ParamVector, evaluate, indicator_segment, objective
 
-from conftest import COUNT_CASES, TRUE, make_counted, make_data, make_spec
+from conftest import COUNT_CASES, TRUE, fit_counted, make_counted, make_data, make_spec, take
 
 GRID_WITH_TRUTH = tuple(np.round(np.linspace(0.1, 0.9, 17), 4))
 
@@ -274,16 +274,29 @@ def test_glm_irls_matches_logistic_score_equation():
 
 
 def test_second_extremes_are_those_of_the_expansion():
-    # small integer x values, so that rows tie, at the extremes too
+    # small integer x values, so that rows tie, at the extremes too; then
+    # the same x with counts from 0, the rows at the smallest and the
+    # largest x counting 0, 1, or 2 and more.  A row counting 0 stands for
+    # no observation.
     rng = np.random.default_rng(21)
-    for _ in range(300):
-        n = int(rng.integers(1, 8))
-        x = rng.integers(0, 4, (3, n)).astype(float)
-        c = rng.integers(1 if n > 1 else 2, 4, (3, n))
+    rows = np.arange(3)
+
+    def check(x, c):
         lo, hi = estimator._second_extremes(x, c)
         for g in range(3):
             xs = np.sort(np.repeat(x[g], c[g]))
-            assert (lo[g], hi[g]) == (xs[1], xs[-2])
+            if xs.size >= 2:
+                assert (lo[g], hi[g]) == (xs[1], xs[-2])
+
+    for _ in range(300):
+        n = int(rng.integers(1, 8))
+        x = rng.integers(0, 4, (3, n)).astype(float)
+        check(x, rng.integers(1 if n > 1 else 2, 4, (3, n)))
+        for ends in ((0, 0), (0, 1), (1, 0), (0, 3), (2, 0), (1, 2), (3, 1)):
+            c = rng.integers(0, 4, (3, n))
+            c[rows, x.argmin(axis=1)] = ends[0]
+            c[rows, x.argmax(axis=1)] = ends[1]
+            check(x, c)
         if n > 1:  # uncounted: every row counts once
             lo, hi = estimator._second_extremes(x, None)
             for g in range(3):
@@ -297,11 +310,11 @@ def test_counted_fit_starts_at_the_expansions_bounds(end_counts, tie, monkeypatc
     # [x(2), x(N-1)] of the N observations.
     monkeypatch.setattr(estimator, "_NEWTON_MAX_ITER", 0)
     spec = make_spec()
-    counted, expanded = make_counted(make_data(spec, n=60, seed=3), 4, end_counts, tie)
+    rows, c, expanded = make_counted(make_data(spec, n=60, seed=3), 4, end_counts, tie)
     xs = np.sort(expanded.x)
     for tau, bound in ((xs[0] - 1.0, xs[1]), (xs[-1] + 1.0, xs[-2])):
         init = ParamVector(2.0, 3.0, -5.0, tau)
-        a, b = fit(spec, counted, init=init), fit(spec, expanded, init=init)
+        a, b = fit_counted(spec, rows, c, init), fit(spec, expanded, init=init)
         assert a.params.tau == b.params.tau == bound
         assert a.objective_value == pytest.approx(b.objective_value, rel=1e-12)
         assert a.h_used == b.h_used
@@ -316,9 +329,9 @@ def test_counted_fit_matches_its_expansion(model, end_counts, tie):
         spec = make_spec(family=Family.POISSON_LOG, form="quadratic-linear", n_covariates=2)
         truth = ParamVector(1.0, 0.5, -0.4, 0.3, (0.3, -0.2))
     data = make_data(spec, params=truth, n=300, seed=17)
-    counted, expanded = make_counted(data, 6, end_counts, tie)
+    rows, c, expanded = make_counted(data, 6, end_counts, tie)
     init = fit(spec, data).params
-    a, b = fit(spec, counted, init=init), fit(spec, expanded, init=init)
+    a, b = fit_counted(spec, rows, c, init), fit(spec, expanded, init=init)
     assert a.converged and b.converged
     assert a.h_used == b.h_used == bandwidth(spec.bw, expanded.n)
     np.testing.assert_allclose(a.params.to_array(), b.params.to_array(), rtol=0, atol=1e-8)
@@ -330,29 +343,9 @@ def test_counted_fit_tests_the_gradient_against_all_observations():
     # far below _TOL, ends the fit, but above _TOL * 60.
     spec = make_spec()
     data = make_data(spec, n=60, seed=19)
-    counted = Dataset(data.x, data.y, counts=np.full(data.n, 50))
-    expanded = data.take(np.repeat(np.arange(data.n), 50))
+    expanded = take(data, np.repeat(np.arange(data.n), 50))
     opt = fit(spec, expanded, init=fit(spec, data).params).params.to_array()
     start = ParamVector.from_array(opt + [0.005 / 3000, 0.0, 0.0, 0.0])
-    a, b = fit(spec, counted, init=start), fit(spec, expanded, init=start)
+    a, b = fit_counted(spec, data, np.full(data.n, 50), start), fit(spec, expanded, init=start)
     assert a.converged and b.converged
     assert a.iterations == b.iterations == 1
-
-
-def test_counted_data_need_a_consumer_that_counts():
-    from kinkfit.inference import bootstrap_ci, run_inference
-
-    spec = make_spec()
-    data = make_data(spec, n=100, seed=18)
-    res = fit(spec, data)
-    counted, _ = make_counted(data, 7)
-    h = bandwidth(spec.bw, data.n)
-    for call in (
-        lambda: profile_init(spec, counted),
-        lambda: fit(spec, counted),
-        lambda: fit_beta_given_tau(spec, counted, 0.5, h),
-        lambda: bootstrap_ci(spec, counted, res, B=200),
-        lambda: run_inference(spec, counted, res),
-    ):
-        with pytest.raises(DataError, match="counted data"):
-            call()

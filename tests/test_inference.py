@@ -13,7 +13,7 @@ from kinkfit.inference import bootstrap_ci, run_inference, sandwich_cov
 from kinkfit.kernels import bandwidth
 from kinkfit.model import Dataset, ParamVector, design, indicator_segment, segment_term
 
-from conftest import make_data, make_spec
+from conftest import make_data, make_spec, take
 
 
 def fitted(seed=0, n=400, **spec_kw):
@@ -125,7 +125,7 @@ def test_sandwich_cov_tracks_sampling_variance():
 def test_covariance_invariant_under_permutation():
     spec, data, res = fitted(seed=3)
     perm = np.random.default_rng(0).permutation(data.n)
-    res_p = fit(spec, data.take(perm), init=res.params)
+    res_p = fit(spec, take(data, perm), init=res.params)
     np.testing.assert_allclose(sandwich_cov(res_p), sandwich_cov(res),
                                rtol=1e-6, atol=1e-10)
 
@@ -167,7 +167,7 @@ def test_programming_errors_propagate(monkeypatch):
     def broken(*args, **kwargs):
         raise TypeError("not a kinkfit failure")
 
-    monkeypatch.setattr(inf, "fit", broken)
+    monkeypatch.setattr(inf, "fit_stack", broken)
     with pytest.raises(TypeError):
         bootstrap_ci(spec, data, res, B=200)
     monkeypatch.setattr(inf, "sandwich_cov", broken)
@@ -242,7 +242,7 @@ def bootstrap_by_take(spec, data, fit_result, B, seed):
         idx = np.concatenate([rng.choice(left, size=left.size, replace=True),
                               rng.choice(right, size=right.size, replace=True)])
         try:
-            refit = fit(spec, data.take(idx), init=fit_result.params)
+            refit = fit(spec, take(data, idx), init=fit_result.params)
         except KinkfitError:
             continue
         if refit.converged:

@@ -13,7 +13,7 @@ from kinkfit.families import Family, sample
 from kinkfit.model import Dataset, ParamVector, evaluate, indicator_segment
 from kinkfit.simulate import generate, load_scenario
 
-from conftest import make_data, make_spec
+from conftest import fit_counted, make_data, make_spec, take
 
 SCENARIOS = pathlib.Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -63,7 +63,7 @@ def test_bootstrap_block_matches_single_fits():
     idx = rng.integers(0, data.n, (32, data.n))
     entries = fit_stack(spec, data.x[idx], data.y[idx], None, [est] * 32)
     for entry, rows in zip(entries, idx):
-        assert_same_as_alone(entry, spec, data.take(rows), est)
+        assert_same_as_alone(entry, spec, take(data, rows), est)
 
 
 def test_failing_rows_leave_the_others_unchanged():
@@ -245,8 +245,17 @@ TRUTHS = {
 }
 
 
-def assert_kept_pass_is_fresh(spec, res, data):
-    q, _, J, Sig = evaluate(spec, res.params, data, res.h_used)
+def assert_kept_pass_is_fresh(spec, res, data, counts=None):
+    """res holds evaluate at its params afresh; with counts, the value and
+    derivative passes of data's rows with those counts."""
+    if counts is None:
+        q, _, J, Sig = evaluate(spec, res.params, data, res.h_used)
+    else:
+        p, z = res.params.to_array()[None], data.z[None]
+        values = model.value_rows(spec, p, data.x[None], data.y[None], z, counts[None], res.h_used)
+        D = model.jacobian_buffer(data.x[None], z, 1, p.shape[1])
+        q, _, J, Sig, _ = (v[0] for v in model.derivative_rows(
+            spec, p, data.y[None], counts[None], values, D))
     assert res.objective_value == q
     np.testing.assert_array_equal(res.neg_hessian_at_opt, J)
     np.testing.assert_array_equal(res.score_cov_at_opt, Sig)
@@ -260,25 +269,27 @@ def test_kept_value_pass_matches_a_fresh_evaluation(family, form, counted):
     # pass; evaluate at the returned parameters computes it afresh.  The
     # two agree bit for bit, alone and in a 32-row block whose rows start
     # at different distances from their optimum (every one of these blocks
-    # has rows that accept at different halvings).
+    # has rows that accept at different halvings).  Counted rows count 0
+    # to 3 times, as a bootstrap block's resamples do.
     spec = make_spec(family=family, form=form, bandwidth="n^-1", n_covariates=1)
     truth = TRUTHS[family]
     rng = np.random.default_rng(17)
     n = 150
-    base_counts = rng.integers(1, 4, n)
-    datasets, starts = [], []
+    base_counts = rng.integers(0, 4, n).astype(float)
+    datasets, starts, counts = [], [], []
     for s in range(32):
-        data = make_data(spec, params=truth, n=n, seed=s)
-        if counted:
-            data = Dataset(data.x, data.y, data.z, rng.permutation(base_counts))
+        datasets.append(make_data(spec, params=truth, n=n, seed=s))
+        counts.append(rng.permutation(base_counts) if counted else None)
         start = truth.to_array() * (1.0 + rng.uniform(-0.3, 0.3, 5))
         start[3] = truth.tau + rng.uniform(-0.4, 0.4)
-        datasets.append(data)
         starts.append(ParamVector.from_array(start))
-    assert_kept_pass_is_fresh(spec, fit(spec, datasets[0], init=starts[0]), datasets[0])
-    counts = np.stack([d.counts for d in datasets]) if counted else None
-    entries = fit_stack(spec, *stack(datasets), starts, counts)
-    results = [(e, d) for e, d in zip(entries, datasets) if isinstance(e, FitResult)]
+    if counted:
+        alone = fit_counted(spec, datasets[0], counts[0], starts[0])
+    else:
+        alone = fit(spec, datasets[0], init=starts[0])
+    assert_kept_pass_is_fresh(spec, alone, datasets[0], counts[0])
+    entries = fit_stack(spec, *stack(datasets), starts, np.stack(counts) if counted else None)
+    results = [(e, d, c) for e, d, c in zip(entries, datasets, counts) if isinstance(e, FitResult)]
     assert len(results) >= 24
-    for entry, data in results:
-        assert_kept_pass_is_fresh(spec, entry, data)
+    for entry, data, c in results:
+        assert_kept_pass_is_fresh(spec, entry, data, c)
