@@ -18,6 +18,14 @@ and runs ``kinkfit.run_inference`` with B = 200 and the case's seed as the
 bootstrap stream, at seeds 1 and 7919.  It hashes the bootstrap and
 normal intervals and the count of resamples used.
 
+Two more cases hash the human-readable outputs, through ``kinkfit.cli.main``
+alone: ``cli_table`` is ``kinkfit fit --format table`` on the
+``cli_boot_poisson`` input at seeds 0 and 7919, and ``smoke_report`` is
+``kinkfit simulate --scenario scenarios/smoke.scenario --seed 7 --out``
+into a temporary directory: its table on stdout and its three files
+(``_report.txt``, ``_report.csv``, ``_qq.csv``).  Each text is hashed with
+the exit code.
+
 A refactor that claims the same numbers shows the same hashes in every
 column.  Each checkout runs in its own subprocess, with ``kinkfit``
 imported from its ``src/``.  Every checkout prepares its inputs in the
@@ -32,8 +40,9 @@ checkout and each other one.  The arrays are the study report's counts,
 ``mean``, ``median``, ``sd``, ``avg_se_prop1``, ``avg_se_delta``, the
 coverages and ``estimates`` (``sim_logit``), the CLI's exit code and
 the numbers of its JSON output, grouped by key path
-(``cli_boot_poisson``), and the intervals and resamples used
-(``boot_table1``).  The relative difference of two values is
+(``cli_boot_poisson``), the intervals and resamples used
+(``boot_table1``), and the numbers written in each text (``cli_table``,
+``smoke_report``).  The relative difference of two values is
 |a - b| / max(|a|, |b|); a NaN in one column and not the other reads as
 an infinite difference.
 
@@ -54,17 +63,18 @@ from pathlib import Path
 CASES = [("sim_logit", 1), ("sim_logit", 7919),
          ("cli_boot_poisson", 0), ("cli_boot_poisson", 1),
          ("cli_boot_poisson", 7), ("cli_boot_poisson", 7919),
-         ("boot_table1", 1), ("boot_table1", 7919)]
+         ("boot_table1", 1), ("boot_table1", 7919),
+         ("cli_table", 0), ("cli_table", 7919), ("smoke_report", 7)]
 
 # Run in the checkout's subprocess: argv is (checkout, workdir, cases as JSON);
 # prints one JSON line per case: [name, seed, sha256, {array name: values}].
 CHILD = """
-import hashlib, json, sys
+import contextlib, hashlib, io, json, re, sys, tempfile
 from pathlib import Path
 import numpy as np
 checkout, workdir, cases = Path(sys.argv[1]), sys.argv[2], json.loads(sys.argv[3])
 sys.path[:0] = [str(checkout / "src"), str(checkout / "perfbench")]
-import kinkfit, workloads
+import kinkfit, kinkfit.cli, workloads
 if Path(kinkfit.__file__).resolve().parent != (checkout / "src" / "kinkfit").resolve():
     raise SystemExit(f"kinkfit imported from {kinkfit.__file__}, not from {checkout}")
 REPORT = ("n_failed_fits", "n_converged", "degraded", "mean", "median", "sd",
@@ -102,9 +112,40 @@ def boot_table1(seed):
                                       out.ci_normal.tobytes().hex(),
                                       out.bootstrap_reps_used]).encode()).hexdigest(), values
 
+NUMBER = re.compile(r"[-+]?(?:\\d+\\.?\\d*|\\.\\d+)(?:[eE][-+]?\\d+)?")
+
+def texts_case(texts):
+    digest = hashlib.sha256(json.dumps(texts, sort_keys=True).encode()).hexdigest()
+    return digest, {k: [float(t) for t in NUMBER.findall(v)] for k, v in texts.items()}
+
+def cli_text(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = kinkfit.cli.main(argv)
+    return f"exit {code}\\n{out.getvalue()}"
+
+def cli_table(seed):
+    wl = workloads.WORKLOADS["cli_boot_poisson"]()
+    wl.prepare(seed, workdir)
+    return texts_case({"stdout": cli_text([*wl.argv(), "--format", "table"])})
+
+def smoke_report(seed):
+    with tempfile.TemporaryDirectory() as out_dir:
+        prefix = str(Path(out_dir) / "smoke")
+        texts = {"stdout": cli_text(["simulate", "--scenario",
+                                     str(checkout / "scenarios" / "smoke.scenario"),
+                                     "--seed", str(seed), "--out", prefix])}
+        for suffix in ("_report.txt", "_report.csv", "_qq.csv"):
+            path = Path(prefix + suffix)
+            texts[suffix] = path.read_text() if path.exists() else "absent"
+    return texts_case(texts)
+
+# The cases that are not one call of a workload.
+OWN_CASES = {"boot_table1": boot_table1, "cli_table": cli_table, "smoke_report": smoke_report}
+
 for name, seed in cases:
-    if name == "boot_table1":
-        print(json.dumps([name, seed, *boot_table1(seed)]), flush=True)
+    if name in OWN_CASES:
+        print(json.dumps([name, seed, *OWN_CASES[name](seed)]), flush=True)
         continue
     wl = workloads.WORKLOADS[name]()
     wl.prepare(seed, workdir)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 
@@ -35,7 +36,7 @@ from .estimator import FitResult, fit
 from .families import in_support, parse_family
 from .inference import InferenceResult, _check_level, run_inference
 from .kernels import kernel_order, parse_bandwidth, parse_kernel, validate
-from .model import Dataset, ModelSpec, parse_form
+from .model import Dataset, ModelSpec, param_names, parse_form
 from .simulate import load_scenario, parse_number, qq_export, run
 
 SCHEMA_VERSION = 1
@@ -132,13 +133,7 @@ def _is_number(cell: str) -> bool:
 
 def _fit_result_dict(fr: FitResult) -> dict:
     return {
-        "params": {
-            "beta0": fr.params.beta0,
-            "beta1": fr.params.beta1,
-            "beta2": fr.params.beta2,
-            "tau": fr.params.tau,
-            "gamma": list(fr.params.gamma),
-        },
+        "params": dataclasses.asdict(fr.params),
         "objective_value": fr.objective_value,
         "iterations": fr.iterations,
         "converged": fr.converged,
@@ -244,39 +239,27 @@ def _cmd_fit(args) -> int:
         "fit": _fit_result_dict(fr),
         "inference": _inference_dict(inf),
     }
-    _emit_fit(payload, args)
+    _emit_fit(payload, fr, inf, args)
     return EXIT_OK
 
 
-def _emit_fit(payload, args):
-    names = ["beta0", "beta1", "beta2", "tau"] + [
-        f"gamma{i+1}" for i in range(len(payload["fit"]["params"]["gamma"]))
-    ]
-    est = [
-        payload["fit"]["params"]["beta0"],
-        payload["fit"]["params"]["beta1"],
-        payload["fit"]["params"]["beta2"],
-        payload["fit"]["params"]["tau"],
-        *payload["fit"]["params"]["gamma"],
-    ]
+def _emit_fit(payload, fr: FitResult, inf: InferenceResult, args):
+    """Write the fit in args.format: the JSON payload, or one row per
+    parameter of its estimate, s.e. and normal interval."""
     if args.format == "json":
         text = json.dumps(payload, indent=2)
-    elif args.format == "csv":
-        lines = ["param,estimate,se,ci_lo,ci_hi"]
-        for i, name in enumerate(names):
-            se = payload["inference"]["se"][i]
-            lo, hi = payload["inference"]["ci_normal"][i]
-            lines.append(f"{name},{est[i]!r},{se!r},{lo!r},{hi!r}")
-        text = "\n".join(lines)
     else:
-        ci = f"{100 * payload['inference']['level']:g}% CI"
-        lines = [f"{'param':>8} {'estimate':>12} {'s.e.':>10} {ci:>26}"]
-        for i, name in enumerate(names):
-            se = payload["inference"]["se"][i]
-            lo, hi = payload["inference"]["ci_normal"][i]
-            lines.append(f"{name:>8} {est[i]:12.5f} {se:10.5f} ({lo:11.5f}, {hi:11.5f})")
-        lines.append(f"converged in {payload['fit']['iterations']} iterations, "
-                     f"h = {payload['fit']['h_used']:.3g}")
+        values = np.column_stack([fr.params.to_array(), inf.se_sandwich, inf.ci_normal])
+        rows = list(zip(param_names(len(fr.params.gamma)), values.tolist()))
+        if args.format == "csv":
+            lines = ["param,estimate,se,ci_lo,ci_hi"]
+            lines += [",".join([name, *map(repr, v)]) for name, v in rows]
+        else:
+            ci = f"{100 * inf.level:g}% CI"
+            lines = [f"{'param':>8} {'estimate':>12} {'s.e.':>10} {ci:>26}"]
+            for name, (est, se, lo, hi) in rows:
+                lines.append(f"{name:>8} {est:12.5f} {se:10.5f} ({lo:11.5f}, {hi:11.5f})")
+            lines.append(f"converged in {fr.iterations} iterations, h = {fr.h_used:.3g}")
         text = "\n".join(lines)
     if args.out:
         with open(args.out, "w") as fh:
@@ -288,9 +271,7 @@ def _emit_fit(payload, args):
 def _cmd_simulate(args) -> int:
     scenario = load_scenario(args.scenario)
     if args.seed is not None:
-        from dataclasses import replace
-
-        scenario = replace(scenario, seed=args.seed)
+        scenario = dataclasses.replace(scenario, seed=args.seed)
     report = run(scenario)
     print(report.table())
     if args.out:
@@ -304,23 +285,7 @@ def _write_report_files(report, prefix):
     with open(prefix + "_report.csv", "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["schema_version", SCHEMA_VERSION])
-        w.writerow(
-            ["param", "true", "mean", "median", "sd", "avg_se_prop1",
-             "avg_se_delta", "coverage_normal_pct", "coverage_bootstrap_pct"]
-        )
-        for i, name in enumerate(report.param_names):
-            w.writerow([
-                name,
-                report.true[i],
-                report.mean[i],
-                report.median[i],
-                "" if report.sd is None else report.sd[i],
-                report.avg_se_prop1[i],
-                report.avg_se_delta[i],
-                report.coverage_normal_pct[i],
-                "" if report.coverage_bootstrap_pct is None
-                else report.coverage_bootstrap_pct[i],
-            ])
+        w.writerows(report.csv_rows())
     try:
         rows = qq_export(report)
     except DataError:
@@ -343,14 +308,7 @@ def _cmd_validate_kernel(args) -> int:
         "kernel": args.kernel,
         "order": order,
         "passed": report.passed,
-        "conditions": {
-            "limits": report.limits_ok,
-            "monotone": report.monotone_ok,
-            "first_derivative_bounded": report.kp_bounded,
-            "second_derivative_bounded": report.kpp_bounded,
-            "tail_first_derivative": report.tail_first,
-            "tail_second_derivative": report.tail_second,
-        },
+        "conditions": report.conditions,
     }
     if args.format == "json":
         print(json.dumps(payload, indent=2))

@@ -201,7 +201,14 @@ def glm_irls(family: Family, X: np.ndarray, y: np.ndarray):
 
 
 def _auto_grid(x: np.ndarray) -> np.ndarray:
-    return np.quantile(x, np.linspace(0.1, 0.9, 21))
+    """The 21 quantiles of x from the 10th to the 90th percentile, less
+    those on x's minimum or maximum (tied x puts some there): like a user
+    grid, the candidates lie strictly inside the x range."""
+    grid = np.quantile(x, np.linspace(0.1, 0.9, 21))
+    grid = grid[(grid > x.min()) & (grid < x.max())]
+    if grid.size == 0:
+        raise DataError("no automatic tau grid candidate lies strictly inside the x range")
+    return grid
 
 
 def _no_mle(spec: ModelSpec, x: np.ndarray, y: np.ndarray, taus: np.ndarray) -> np.ndarray:
@@ -239,7 +246,8 @@ def profile_init(
 
     tau_grid holds explicit candidate change points, each finite and
     strictly inside the x range; None gives the automatic grid, 21
-    equally spaced quantiles of x between the 10th and 90th percentile.
+    equally spaced quantiles of x between the 10th and 90th percentile,
+    less those on x's minimum or maximum (a DataError when none is left).
     Each distinct candidate is an ordinary GLM with the hard-indicator
     regressor, fit once.  A candidate whose responses are all 0 (or, for
     the logit, all 1) on a side of it that its segment separates is

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy import integrate
 from scipy.special import ndtr
 
 from .errors import DomainError, ValidationError
@@ -163,6 +162,8 @@ def kernel_order(kernel: Kernel) -> int:
     Moments are computed by adaptive quadrature of v**i K'(v) over the
     kernel's support.
     """
+    from scipy import integrate
+
     lo, hi = kernel.support
     lo, hi = max(lo, -50.0), min(hi, 50.0)
     for i in range(1, _MAX_ORDER + 1):
@@ -172,6 +173,17 @@ def kernel_order(kernel: Kernel) -> int:
     raise ValidationError(
         f"kernel {kernel.name!r} has no nonzero K' moment up to order {_MAX_ORDER}"
     )
+
+
+# The regularity conditions: (name, KernelReport field), in report order.
+_CONDITIONS = (
+    ("limits", "limits_ok"),
+    ("monotone", "monotone_ok"),
+    ("first_derivative_bounded", "kp_bounded"),
+    ("second_derivative_bounded", "kpp_bounded"),
+    ("tail_first_derivative", "tail_first"),
+    ("tail_second_derivative", "tail_second"),
+)
 
 
 @dataclass(frozen=True)
@@ -187,15 +199,13 @@ class KernelReport:
     checks: dict = field(default_factory=dict)
 
     @property
+    def conditions(self) -> dict[str, bool]:
+        """Each condition's outcome by name, in report order."""
+        return {name: getattr(self, attr) for name, attr in _CONDITIONS}
+
+    @property
     def passed(self) -> bool:
-        return (
-            self.limits_ok
-            and self.monotone_ok
-            and self.kp_bounded
-            and self.kpp_bounded
-            and self.tail_first
-            and self.tail_second
-        )
+        return all(self.conditions.values())
 
 
 def validate(kernel: Kernel) -> KernelReport:

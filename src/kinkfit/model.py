@@ -42,6 +42,7 @@ __all__ = [
     "ModelForm",
     "ModelSpec",
     "ParamVector",
+    "param_names",
     "Dataset",
     "segment_term",
     "indicator_segment",
@@ -113,6 +114,11 @@ class ParamVector:
     def from_array(cls, a: np.ndarray) -> "ParamVector":
         a = np.asarray(a, dtype=float)
         return cls(a[0], a[1], a[2], a[3], tuple(a[4:]))
+
+
+def param_names(k: int) -> tuple[str, ...]:
+    """Names of the parameters in ParamVector order, with k covariates."""
+    return ("beta0", "beta1", "beta2", "tau", *(f"gamma{i + 1}" for i in range(k)))
 
 
 @dataclass(frozen=True)

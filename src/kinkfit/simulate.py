@@ -18,13 +18,24 @@ from .estimator import FitResult, fit_stack, profile_init, rows_per_block
 from .families import parse_family
 from .inference import _check_level, run_inference
 from .kernels import parse_bandwidth, parse_kernel
-from .model import Dataset, ModelSpec, ParamVector, indicator_segment, parse_form
+from .model import Dataset, ModelSpec, ParamVector, indicator_segment, param_names, parse_form
 
 __all__ = [
     "SimScenario", "SimReport", "generate", "run", "qq_export", "load_scenario", "parse_number",
 ]
 
-PARAM_BASE = ("beta0", "beta1", "beta2", "tau")
+# The report's statistics, in table order: (table label, SimReport field,
+# decimals in the table).  The field names are the _report.csv columns.
+_REPORT_STATS = (
+    ("True", "true", 4),
+    ("Mean", "mean", 4),
+    ("Median", "median", 4),
+    ("S.D.", "sd", 4),
+    ("Avg s.e. (asymptotic)", "avg_se_prop1", 4),
+    ("Avg s.e. (delta)", "avg_se_delta", 4),
+    ("Coverage normal CI (%)", "coverage_normal_pct", 1),
+    ("Coverage bootstrap CI (%)", "coverage_bootstrap_pct", 1),
+)
 
 
 @dataclass(frozen=True)
@@ -87,17 +98,12 @@ class SimReport:
     estimates: np.ndarray  # converged replications x (4+k)
 
     def table(self) -> str:
-        """Human-readable summary table."""
-        rows = [("", *self.param_names), ("True", *_fmt(self.true))]
-        rows.append(("Mean", *_fmt(self.mean)))
-        rows.append(("Median", *_fmt(self.median)))
-        if self.sd is not None:
-            rows.append(("S.D.", *_fmt(self.sd)))
-        rows.append(("Avg s.e. (asymptotic)", *_fmt(self.avg_se_prop1)))
-        rows.append(("Avg s.e. (delta)", *_fmt(self.avg_se_delta)))
-        rows.append(("Coverage normal CI (%)", *_fmt(self.coverage_normal_pct, 1)))
-        if self.coverage_bootstrap_pct is not None:
-            rows.append(("Coverage bootstrap CI (%)", *_fmt(self.coverage_bootstrap_pct, 1)))
+        """Human-readable summary table: one row per statistic that is set."""
+        rows = [("", *self.param_names)]
+        for label, field, nd in _REPORT_STATS:
+            vals = getattr(self, field)
+            if vals is not None:
+                rows.append((label, *(f"{v:.{nd}f}" for v in vals)))
         widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]
         lines = []
         for r in rows:
@@ -108,13 +114,15 @@ class SimReport:
         )
         return "\n".join(lines)
 
-
-def _fmt(vals, nd=4):
-    return tuple(f"{v:.{nd}f}" for v in vals)
-
-
-def _param_names(k: int) -> tuple[str, ...]:
-    return PARAM_BASE + tuple(f"gamma{i+1}" for i in range(k))
+    def csv_rows(self) -> list[list]:
+        """The statistics as CSV rows: a header, "param" and the field
+        names, then one row per parameter; a statistic that is not set is
+        a blank cell."""
+        stats = [getattr(self, field) for _, field, _ in _REPORT_STATS]
+        rows = [["param", *(field for _, field, _ in _REPORT_STATS)]]
+        for i, name in enumerate(self.param_names):
+            rows.append([name, *("" if vals is None else vals[i] for vals in stats)])
+        return rows
 
 
 def generate(scenario: SimScenario, replicate_index: int) -> Dataset:
@@ -151,7 +159,6 @@ def run(scenario: SimScenario) -> SimReport:
     """
     spec = scenario.model_spec()
     truth = scenario.true_params.to_array()
-    names = _param_names(len(scenario.true_params.gamma))
     ests, ses, cover, cover_boot = [], [], [], []
     failed = 0
     block = rows_per_block(scenario.n)
@@ -201,7 +208,7 @@ def run(scenario: SimScenario) -> SimReport:
     avg_se = np.asarray(ses).mean(axis=0)  # se_delta is se_sandwich
     report = SimReport(
         scenario=scenario,
-        param_names=names,
+        param_names=param_names(len(scenario.true_params.gamma)),
         true=truth,
         mean=E.mean(axis=0),
         median=np.median(E, axis=0),

@@ -1,8 +1,11 @@
 """The public surface: exported names and the README's library sketch."""
 import importlib
+import os
 import pathlib
 import pkgutil
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -33,3 +36,13 @@ def test_readme_library_sketch_runs(capsys):
     assert scope["res"].converged
     assert scope["res"].params.tau == pytest.approx(0.5, abs=0.2)
     assert capsys.readouterr().out.strip()
+
+
+def test_import_leaves_quadrature_unloaded():
+    # scipy.integrate is kernel_order's alone; importing the package and the
+    # CLI in a fresh interpreter does not load it.
+    src = str(pathlib.Path(kinkfit.__file__).resolve().parent.parent)
+    code = "import sys, kinkfit, kinkfit.cli; print('scipy.integrate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=dict(os.environ, PYTHONPATH=src))
+    assert out.stdout.strip() == "False"

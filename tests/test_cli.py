@@ -68,6 +68,27 @@ def test_fit_stdout_table_and_csv_formats(normal_csv, capsys):
     assert len(rows) == 5  # header + beta0 beta1 beta2 tau
 
 
+def test_fit_csv_cells_are_the_json_numbers(tmp_path, capsys):
+    # Every cell after the name is a plain float, equal to the JSON run's
+    # estimate, s.e. and normal interval; the estimates once read as
+    # np.float64(...).
+    spec = make_spec(n_covariates=2)
+    data = make_data(spec, params=ParamVector(2.0, 3.0, -5.0, 0.5, (0.7, -0.4)), n=300, seed=3)
+    p = tmp_path / "z.csv"
+    write_csv(p, np.column_stack([data.y, data.x, data.z]), header=("y", "x", "z1", "z2"))
+    argv = ["fit", "--input", str(p), "--y-col", "y", "--x-col", "x", "--z-cols", "z1,z2"]
+    assert main(argv) == EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+    assert main([*argv, "--format", "csv"]) == EXIT_OK
+    rows = list(csv.reader(capsys.readouterr().out.splitlines()))
+    assert rows[0] == ["param", "estimate", "se", "ci_lo", "ci_hi"]
+    params, inf = payload["fit"]["params"], payload["inference"]
+    est = [params["beta0"], params["beta1"], params["beta2"], params["tau"], *params["gamma"]]
+    assert [r[0] for r in rows[1:]] == ["beta0", "beta1", "beta2", "tau", "gamma1", "gamma2"]
+    for i, row in enumerate(rows[1:]):
+        assert [float(c) for c in row[1:]] == [est[i], inf["se"][i], *inf["ci_normal"][i]]
+
+
 def test_fit_with_bootstrap_interval(normal_csv, capsys):
     code = main(["fit", "--input", str(normal_csv), "--y-col", "y",
                  "--x-col", "x", "--bootstrap", "200", "--seed", "5"])
@@ -273,6 +294,47 @@ def test_simulate_smoke_scenario(tmp_path, capsys, monkeypatch):
     assert (tmp_path / "smoke_qq.csv").exists()
 
 
+# The report's statistics: the _report.csv columns after "param", which are
+# the SimReport field names.
+REPORT_COLUMNS = ["true", "mean", "median", "sd", "avg_se_prop1", "avg_se_delta",
+                  "coverage_normal_pct", "coverage_bootstrap_pct"]
+
+
+@pytest.mark.parametrize("edits, sd_blank, boot_blank", [
+    ([("replications = 10", "replications = 1")], True, True),
+    ([], False, True),
+    ([("replications = 10", "replications = 2"), ("seed = 7", "seed = 7\nbootstrap_B = 200")],
+     False, False),
+])
+def test_report_csv_rows_are_the_report_fields(edits, sd_blank, boot_blank, tmp_path, capsys,
+                                               monkeypatch):
+    import pathlib
+    from kinkfit import simulate
+    text = (pathlib.Path(__file__).resolve().parent.parent / "scenarios"
+            / "smoke.scenario").read_text()
+    for edit in edits:
+        text = text.replace(*edit)
+    scen = tmp_path / "s.scenario"
+    scen.write_text(text)
+    monkeypatch.chdir(tmp_path)
+    assert main(["simulate", "--scenario", str(scen), "--out", "s"]) == EXIT_OK
+    capsys.readouterr()
+    report = simulate.run(simulate.load_scenario(scen))
+    with open(tmp_path / "s_report.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["schema_version", str(SCHEMA_VERSION)]
+    assert rows[1] == ["param", *REPORT_COLUMNS]
+    assert [r[0] for r in rows[2:]] == list(report.param_names)
+    assert (report.sd is None, report.coverage_bootstrap_pct is None) == (sd_blank, boot_blank)
+    for i, row in enumerate(rows[2:]):
+        for field, cell in zip(REPORT_COLUMNS, row[1:], strict=True):
+            values = getattr(report, field)
+            if values is None:
+                assert cell == ""
+            else:
+                assert float(cell) == values[i]
+
+
 @pytest.mark.parametrize("failure", ["raises", "not-converged"])
 def test_simulate_with_every_replicate_failed_is_a_fit_error(failure, capsys, monkeypatch):
     import pathlib
@@ -367,6 +429,22 @@ def test_validate_kernel_pass_and_json(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["passed"] is True
     assert payload["order"] == 1
+
+
+@pytest.mark.parametrize("broken", [None, "limits_ok", "tail_second"])
+def test_validate_kernel_json_conditions_and_their_conjunction(broken, capsys, monkeypatch):
+    from kinkfit import cli, kernels
+    if broken is not None:
+        monkeypatch.setattr(cli, "validate", lambda kernel: dataclasses.replace(
+            kernels.validate(kernel), **{broken: False}))
+    code = main(["validate-kernel", "--kernel", "normal-cdf", "--format", "json"])
+    payload = json.loads(capsys.readouterr().out)
+    assert list(payload["conditions"]) == [
+        "limits", "monotone", "first_derivative_bounded", "second_derivative_bounded",
+        "tail_first_derivative", "tail_second_derivative"]
+    assert payload["passed"] is all(payload["conditions"].values())
+    assert payload["passed"] is (broken is None)
+    assert code == (EXIT_OK if broken is None else EXIT_DATA)
 
 
 def test_validate_kernel_unknown_token(capsys):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from kinkfit import estimator, simulate
-from kinkfit.errors import ConvergenceError, InitializationError, NumericError
+from kinkfit.errors import ConvergenceError, DataError, InitializationError, NumericError
 from kinkfit.estimator import glm_irls, profile_init
 from kinkfit.families import Family, sample
 from kinkfit.kernels import bandwidth, custom_kernel, normal_cdf_kernel
@@ -114,19 +114,31 @@ def recording_irls(monkeypatch):
 
 @pytest.mark.parametrize("family", list(Family))
 def test_tied_candidates_are_fit_once(family, monkeypatch):
-    # x on the integers 0-7: the 21 automatic candidates hold 8 distinct
-    # values, and each of them is fit once, to the same winner.
+    # x on the integers 0-7: the automatic candidates hold the 6 interior
+    # values, not the extremes 0 and 7, and each of them is fit once, to
+    # the same winner.
     spec = make_spec(family=family, bandwidth="n^-3" if family is Family.BERNOULLI_LOGIT else "n^-2")
     rng = np.random.default_rng(0)
     x = rng.integers(0, 8, 400).astype(float)
     theta = TRUTH[family].beta0 + 0.5 * x - np.maximum(x - 3.5, 0.0)
     data = Dataset(x=x, y=sample(family, theta, rng))
     grid = estimator._auto_grid(x)
-    assert grid.size == 21 and np.unique(grid).size == 8
+    assert list(np.unique(grid)) == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
     stacks = recording_irls(monkeypatch)
     init = profile_init(spec, data)
-    assert sum(len(X) for X in stacks) == 8
+    assert sum(len(X) for X in stacks) == 6
     assert_same_winner(spec, data, grid, init)
+
+
+def test_binary_x_leaves_no_automatic_candidate():
+    # Every quantile of a 0/1 x is an extreme, so no candidate is left.
+    rng = np.random.default_rng(0)
+    x = rng.integers(0, 2, 200).astype(float)
+    data = Dataset(x=x, y=x + rng.standard_normal(200))
+    with pytest.raises(DataError, match="strictly inside the x range"):
+        estimator._auto_grid(x)
+    with pytest.raises(DataError, match="strictly inside the x range"):
+        profile_init(make_spec(), data)
 
 
 def test_separated_logit_candidates_are_dropped_alone():

@@ -1,4 +1,6 @@
 """Monte Carlo harness: generation, aggregation, scenario files."""
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.stats import kstest
@@ -76,6 +78,19 @@ def test_run_single_replication_has_no_sd():
     rep = run(scenario(replications=1))
     assert rep.sd is None
     assert "S.D." not in rep.table()
+
+
+def test_table_shows_a_row_exactly_when_its_statistic_is_set():
+    rep = run(scenario(replications=2, bootstrap_B=200))
+    labels = [("True", "true"), ("Mean", "mean"), ("Median", "median"), ("S.D.", "sd"),
+              ("Avg s.e. (asymptotic)", "avg_se_prop1"), ("Avg s.e. (delta)", "avg_se_delta"),
+              ("Coverage normal CI (%)", "coverage_normal_pct"),
+              ("Coverage bootstrap CI (%)", "coverage_bootstrap_pct")]
+    for r in (rep, dataclasses.replace(rep, sd=None, coverage_bootstrap_pct=None)):
+        lines = [line.strip() for line in r.table().splitlines()]
+        for label, field in labels:
+            shown = [line for line in lines if line.startswith(label + " ")]
+            assert len(shown) == (getattr(r, field) is not None), (label, lines)
 
 
 def test_scenario_validation():
