@@ -70,8 +70,7 @@ def test_fit_stdout_table_and_csv_formats(normal_csv, capsys):
 
 def test_fit_csv_cells_are_the_json_numbers(tmp_path, capsys):
     # Every cell after the name is a plain float, equal to the JSON run's
-    # estimate, s.e. and normal interval; the estimates once read as
-    # np.float64(...).
+    # estimate, s.e. and normal interval.
     spec = make_spec(n_covariates=2)
     data = make_data(spec, params=ParamVector(2.0, 3.0, -5.0, 0.5, (0.7, -0.4)), n=300, seed=3)
     p = tmp_path / "z.csv"
