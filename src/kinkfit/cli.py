@@ -245,20 +245,28 @@ def _cmd_fit(args) -> int:
 
 def _emit_fit(payload, fr: FitResult, inf: InferenceResult, args):
     """Write the fit in args.format: the JSON payload, or one row per
-    parameter of its estimate, s.e. and normal interval."""
+    parameter of its estimate, s.e. and normal interval, then its
+    bootstrap interval when there is one."""
     if args.format == "json":
         text = json.dumps(payload, indent=2)
     else:
-        values = np.column_stack([fr.params.to_array(), inf.se_sandwich, inf.ci_normal])
-        rows = list(zip(param_names(len(fr.params.gamma)), values.tolist()))
+        boot = inf.ci_bootstrap is not None
+        columns = [fr.params.to_array(), inf.se_sandwich, inf.ci_normal]
+        if boot:
+            columns.append(inf.ci_bootstrap)
+        rows = list(zip(param_names(len(fr.params.gamma)), np.column_stack(columns).tolist()))
         if args.format == "csv":
-            lines = ["param,estimate,se,ci_lo,ci_hi"]
+            lines = ["param,estimate,se,ci_lo,ci_hi" + (",boot_lo,boot_hi" if boot else "")]
             lines += [",".join([name, *map(repr, v)]) for name, v in rows]
         else:
-            ci = f"{100 * inf.level:g}% CI"
-            lines = [f"{'param':>8} {'estimate':>12} {'s.e.':>10} {ci:>26}"]
-            for name, (est, se, lo, hi) in rows:
-                lines.append(f"{name:>8} {est:12.5f} {se:10.5f} ({lo:11.5f}, {hi:11.5f})")
+            level = f"{100 * inf.level:g}%"
+            head = f"{'param':>8} {'estimate':>12} {'s.e.':>10} {level + ' CI':>26}"
+            lines = [head + (f" {level + ' bootstrap CI':>26}" if boot else "")]
+            for name, (est, se, *ends) in rows:
+                line = f"{name:>8} {est:12.5f} {se:10.5f}"
+                for lo, hi in zip(ends[::2], ends[1::2]):
+                    line += f" ({lo:11.5f}, {hi:11.5f})"
+                lines.append(line)
             lines.append(f"converged in {fr.iterations} iterations, h = {fr.h_used:.3g}")
         text = "\n".join(lines)
     if args.out:

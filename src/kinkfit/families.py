@@ -9,10 +9,12 @@ at unit dispersion.
 log-likelihood reports a non-finite theta or b(theta) as NumericError.
 ``sample`` checks theta, which it gets from scenario values.
 
-The profile scan's IRLS and the Newton ascent's derivative pass take their
-mean and variance from ``mean_variance``, whose logit branch is one numpy
-``exp`` pass plus arithmetic.  ``mean`` and ``sample`` keep scipy's
-``expit``, so the generated replicates keep their bits.
+The logit mean is the logistic 1 / (1 + exp(-theta)), one numpy ``exp``
+pass plus arithmetic, in ``mean``, ``mean_variance`` and ``sample`` alike.
+That is the formula of scipy's ``expit``; the two differ by a few ulp at
+most (numpy's and the C library's ``exp`` round apart), so a draw
+``uniform < p`` could change only for a uniform within those ulp, and the
+generated replicates are those that ``expit`` gave.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from __future__ import annotations
 import enum
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import DomainError
 
@@ -61,12 +62,19 @@ def cumulant(family: Family, theta):
     return np.exp(theta)
 
 
+def _logistic(theta):
+    """(p, e) with e = exp(-max(theta, -709)) and p = 1 / (1 + e): the logit
+    mean, clipped so that e stays finite (see mean_variance)."""
+    e = np.exp(-np.maximum(theta, -709.0))
+    return 1.0 / (1.0 + e), e
+
+
 def mean(family: Family, theta):
     """Mean function b'(theta), i.e. the inverse of the natural link."""
     if family is Family.NORMAL_IDENTITY:
         return theta + 0.0
     if family is Family.BERNOULLI_LOGIT:
-        return expit(theta)
+        return _logistic(theta)[0]
     return np.exp(theta)
 
 
@@ -85,8 +93,7 @@ def mean_variance(family: Family, theta):
     if family is Family.NORMAL_IDENTITY:
         return theta + 0.0, np.ones_like(theta)
     if family is Family.BERNOULLI_LOGIT:
-        e = np.exp(-np.maximum(theta, -709.0))
-        p = 1.0 / (1.0 + e)
+        p, e = _logistic(theta)
         return p, p * (e * p)
     m = np.exp(theta)
     return m, m
@@ -103,7 +110,7 @@ def sample(family: Family, theta, rng: np.random.Generator):
     if family is Family.NORMAL_IDENTITY:
         return rng.normal(loc=theta, scale=1.0)
     if family is Family.BERNOULLI_LOGIT:
-        return (rng.random(size=np.shape(theta)) < expit(theta)).astype(float)
+        return (rng.random(size=np.shape(theta)) < _logistic(theta)[0]).astype(float)
     lam = np.exp(theta)
     if not np.all(np.isfinite(lam)):
         raise DomainError("Poisson rate exp(theta) overflows")

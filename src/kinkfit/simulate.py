@@ -9,6 +9,7 @@ any subset of replicates can be rerun on its own.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
 
@@ -236,11 +237,9 @@ def qq_export(report: SimReport):
     m = report.estimates.shape[0]
     if m < 10:
         raise DataError(f"need at least 10 converged replications, got {m}")
-    from scipy.stats import norm
-
     rows = []
     probs = (np.arange(1, m + 1) - 0.5) / m
-    theo = norm.ppf(probs)
+    theo = [NormalDist().inv_cdf(p) for p in probs.tolist()]
     for j, name in enumerate(report.param_names):
         col = report.estimates[:, j]
         sd = col.std(ddof=1)

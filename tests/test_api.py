@@ -1,5 +1,6 @@
 """The public surface: exported names and the README's library sketch."""
 import importlib
+import json
 import os
 import pathlib
 import pkgutil
@@ -38,11 +39,38 @@ def test_readme_library_sketch_runs(capsys):
     assert capsys.readouterr().out.strip()
 
 
-def test_import_leaves_quadrature_unloaded():
-    # scipy.integrate is kernel_order's alone; importing the package and the
-    # CLI in a fresh interpreter does not load it.
+SCENARIO = pathlib.Path(__file__).resolve().parent.parent / "scenarios" / "table2.scenario"
+
+
+@pytest.mark.parametrize("run", ["import", "fit", "simulate"])
+def test_import_fit_and_simulate_leave_scipy_unloaded(run, tmp_path):
+    # scipy is kernel_order's alone (and the tests'): in a fresh interpreter,
+    # importing the package and the CLI, a Poisson fit with a bootstrap at a
+    # level other than 0.95, and a logit study with its Q-Q file load none
+    # of it.
+    argv = []
+    if run == "fit":
+        rng = np.random.default_rng(2)
+        x = rng.uniform(-2.0, 2.0, 300)
+        y = rng.poisson(np.exp(0.5 + 0.3 * x - 0.6 * np.maximum(x - 0.2, 0.0)))
+        np.savetxt(tmp_path / "p.csv", np.column_stack([y, x]), delimiter=",",
+                   header="y,x", comments="")
+        argv = ["fit", "--input", str(tmp_path / "p.csv"), "--y-col", "y", "--x-col", "x",
+                "--family", "poisson", "--bootstrap", "200", "--level", "0.9",
+                "--format", "csv", "--out", str(tmp_path / "fit.csv")]
+    elif run == "simulate":
+        text = SCENARIO.read_text().replace("replications = 1000", "replications = 12")
+        (tmp_path / "logit.scenario").write_text(text)
+        argv = ["simulate", "--scenario", str(tmp_path / "logit.scenario"),
+                "--out", str(tmp_path / "logit")]
     src = str(pathlib.Path(kinkfit.__file__).resolve().parent.parent)
-    code = "import sys, kinkfit, kinkfit.cli; print('scipy.integrate' in sys.modules)"
+    code = ("import json, sys, kinkfit, kinkfit.cli\n"
+            f"code = kinkfit.cli.main({argv!r}) if {bool(argv)} else 0\n"
+            "print(json.dumps([code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=dict(os.environ, PYTHONPATH=src))
-    assert out.stdout.strip() == "False"
+    assert json.loads(out.stdout.splitlines()[-1]) == [0, []]
+    if run == "fit":
+        assert (tmp_path / "fit.csv").read_text().startswith("param,estimate,se,ci_lo,ci_hi,boot_lo")
+    if run == "simulate":
+        assert len((tmp_path / "logit_qq.csv").read_text().splitlines()) == 1 + 4 * 12

@@ -99,6 +99,25 @@ def test_fit_with_bootstrap_interval(normal_csv, capsys):
     assert np.all(iv[:, 0] <= iv[:, 1])
 
 
+def test_fit_bootstrap_interval_in_csv_and_table(normal_csv, capsys):
+    # The csv and table outputs carry the bootstrap interval the JSON run
+    # reports, after the normal one.
+    argv = ["fit", "--input", str(normal_csv), "--y-col", "y", "--x-col", "x",
+            "--bootstrap", "200", "--seed", "5", "--level", "0.9"]
+    assert main(argv) == EXIT_OK
+    inf = json.loads(capsys.readouterr().out)["inference"]
+    assert main([*argv, "--format", "csv"]) == EXIT_OK
+    rows = list(csv.reader(capsys.readouterr().out.splitlines()))
+    assert rows[0] == ["param", "estimate", "se", "ci_lo", "ci_hi", "boot_lo", "boot_hi"]
+    assert [[float(c) for c in row[3:]] for row in rows[1:]] == [
+        [*n, *b] for n, b in zip(inf["ci_normal"], inf["ci_bootstrap"])]
+    assert main([*argv, "--format", "table"]) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split()[-5:] == ["90%", "CI", "90%", "bootstrap", "CI"]
+    lo, hi = inf["ci_bootstrap"][3]
+    assert lines[4].endswith(f"({lo:11.5f}, {hi:11.5f})")
+
+
 def test_fit_case_control_shape_with_covariates(tmp_path, capsys):
     d = make_case_control_like(seed=0)
     p = tmp_path / "cc.csv"

@@ -7,7 +7,15 @@ from hypothesis import given, strategies as st
 from scipy.special import expit
 
 from kinkfit.errors import DomainError
-from kinkfit.families import Family, cumulant, in_support, mean_variance, parse_family, sample
+from kinkfit.families import (
+    Family,
+    cumulant,
+    in_support,
+    mean,
+    mean_variance,
+    parse_family,
+    sample,
+)
 
 ALL = [Family.NORMAL_IDENTITY, Family.BERNOULLI_LOGIT, Family.POISSON_LOG]
 
@@ -44,6 +52,7 @@ def test_logit_mean_variance_matches_expit():
     m, v = mean_variance(Family.BERNOULLI_LOGIT, theta)
     np.testing.assert_allclose(m, expit(theta), rtol=2e-15, atol=0)
     np.testing.assert_allclose(v, expit(theta) * expit(-theta), rtol=2e-15, atol=0)
+    np.testing.assert_array_equal(mean(Family.BERNOULLI_LOGIT, theta), m)
 
 
 def test_logit_mean_variance_in_the_far_tails():

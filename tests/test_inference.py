@@ -130,6 +130,33 @@ def test_covariance_invariant_under_permutation():
                                rtol=1e-6, atol=1e-10)
 
 
+@pytest.mark.parametrize("family", list(Family))
+@pytest.mark.parametrize("form", ["linear-linear", "quadratic-linear"])
+def test_sandwich_cov_matches_the_triangular_inverse(family, form):
+    # The reference inverts the Cholesky factor with LAPACK's dtrtri; the
+    # gap is read in the correlation scale cov_ij / sqrt(cov_ii cov_jj).
+    # The logit quadratic-linear information is badly scaled (condition
+    # number 1e16, 3e5 in correlation form): inverting its raw factor by
+    # LU left a gap of 1e-9.
+    from scipy.linalg import lapack
+
+    spec = make_spec(family=family, form=form, n_covariates=2)
+    params = ParamVector(0.5, 1.0, -1.5, 0.5, (0.3, -0.2))
+    res = fit(spec, make_data(spec, params=params, n=400, seed=2))
+    L_inv = lapack.dtrtri(np.linalg.cholesky(res.score_cov_at_opt), lower=1)[0]
+    ref = L_inv.T @ L_inv
+    s = np.sqrt(np.diag(ref))
+    assert np.max(np.abs(sandwich_cov(res) - ref) / np.outer(s, s)) <= 1e-14
+
+
+def test_z_matches_scipy_norm_ppf():
+    from scipy.stats import norm
+
+    levels = np.concatenate([np.linspace(0.5, 0.999999, 10_001), [0.8, 0.9, 0.99]])
+    z = [inf._z(level) for level in levels]
+    np.testing.assert_allclose(z, norm.ppf(0.5 + levels / 2.0), rtol=1e-15, atol=0)
+
+
 def test_percentile_interval_convention():
     draws = np.arange(1.0, 301.0).reshape(-1, 1)  # 1..300
     iv = inf._percentile_interval(draws, 0.95)

@@ -142,7 +142,16 @@ def test_kernel_is_called_only_inside_the_window():
 def test_nan_argument_gives_nan_kernel():
     kv, kpv, kppv = eval_kernel(normal_cdf_kernel(), np.array([1.0, np.nan]))
     assert np.isnan(kv[1]) and np.isnan(kpv[1]) and np.isnan(kppv[1])
-    assert kv[0] == ndtr(1.0)
+    assert kv[0] == pytest.approx(ndtr(1.0), rel=3e-15, abs=0)
+
+
+@pytest.mark.parametrize("bound, rtol", [(8.0, 3e-15), (37.0, 1e-13)])
+def test_normal_cdf_matches_scipy_ndtr(bound, rtol):
+    # K is the standard library's erfc, point by point; scipy's ndtr is the
+    # reference.  Below u = -37 both are under 1e-300.
+    u = np.linspace(-bound, bound, 400_001)
+    np.testing.assert_allclose(normal_cdf_kernel().k(u), ndtr(u), rtol=rtol, atol=0)
+    assert np.shape(normal_cdf_kernel().k(-bound)) == ()
 
 
 def test_bandwidth_power_rule():
