@@ -65,10 +65,11 @@ def test_import_fit_and_simulate_leave_scipy_unloaded(run, tmp_path):
                 "--out", str(tmp_path / "logit")]
     src = str(pathlib.Path(kinkfit.__file__).resolve().parent.parent)
     code = ("import json, sys, kinkfit, kinkfit.cli\n"
-            f"code = kinkfit.cli.main({argv!r}) if {bool(argv)} else 0\n"
+            "argv = json.loads(sys.argv[1])\n"
+            "code = kinkfit.cli.main(argv) if argv else 0\n"
             "print(json.dumps([code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))")
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env=dict(os.environ, PYTHONPATH=src))
+    out = subprocess.run([sys.executable, "-c", code, json.dumps(argv)], capture_output=True,
+                         text=True, check=True, env=dict(os.environ, PYTHONPATH=src))
     assert json.loads(out.stdout.splitlines()[-1]) == [0, []]
     if run == "fit":
         assert (tmp_path / "fit.csv").read_text().startswith("param,estimate,se,ci_lo,ci_hi,boot_lo")
