@@ -23,8 +23,10 @@ alone: ``cli_table`` is ``kinkfit fit --format table`` on the
 ``cli_boot_poisson`` input at seeds 0 and 7919, and ``smoke_report`` is
 ``kinkfit simulate --scenario scenarios/smoke.scenario --seed 7 --out``
 into a temporary directory: its table on stdout and its three files
-(``_report.txt``, ``_report.csv``, ``_qq.csv``).  Each text is hashed with
-the exit code.
+(``_report.txt``, ``_report.csv``, ``_qq.csv``).  ``validate_kernel`` is
+``kinkfit validate-kernel --format json`` on each built-in kernel
+(``normal-cdf`` and ``exp-cdf``); it has no seed, and its row shows 0.
+Each text is hashed with the exit code.
 
 A refactor that claims the same numbers shows the same hashes in every
 column.  Each checkout runs in its own subprocess, with ``kinkfit``
@@ -42,9 +44,9 @@ coverages and ``estimates`` (``sim_logit``), the CLI's exit code and
 the numbers of its JSON output, grouped by key path
 (``cli_boot_poisson``), the intervals and resamples used
 (``boot_table1``), and the numbers written in each text (``cli_table``,
-``smoke_report``).  The relative difference of two values is
-|a - b| / max(|a|, |b|); a NaN in one column and not the other reads as
-an infinite difference.
+``smoke_report``, ``validate_kernel``).  The relative difference of two
+values is |a - b| / max(|a|, |b|); a NaN in one column and not the other
+reads as an infinite difference.
 
 Uses the standard library only; the workloads use numpy.
 """
@@ -64,7 +66,8 @@ CASES = [("sim_logit", 1), ("sim_logit", 7919),
          ("cli_boot_poisson", 0), ("cli_boot_poisson", 1),
          ("cli_boot_poisson", 7), ("cli_boot_poisson", 7919),
          ("boot_table1", 1), ("boot_table1", 7919),
-         ("cli_table", 0), ("cli_table", 7919), ("smoke_report", 7)]
+         ("cli_table", 0), ("cli_table", 7919), ("smoke_report", 7),
+         ("validate_kernel", 0)]
 
 # Run in the checkout's subprocess: argv is (checkout, workdir, cases as JSON);
 # prints one JSON line per case: [name, seed, sha256, {array name: values}].
@@ -140,8 +143,14 @@ def smoke_report(seed):
             texts[suffix] = path.read_text() if path.exists() else "absent"
     return texts_case(texts)
 
+def validate_kernel(seed):
+    return texts_case({kernel: cli_text(["validate-kernel", "--kernel", kernel,
+                                         "--format", "json"])
+                       for kernel in ("normal-cdf", "exp-cdf")})
+
 # The cases that are not one call of a workload.
-OWN_CASES = {"boot_table1": boot_table1, "cli_table": cli_table, "smoke_report": smoke_report}
+OWN_CASES = {"boot_table1": boot_table1, "cli_table": cli_table, "smoke_report": smoke_report,
+             "validate_kernel": validate_kernel}
 
 for name, seed in cases:
     if name in OWN_CASES:

@@ -127,6 +127,20 @@ def _solve(M: np.ndarray, rhs: np.ndarray):
         return x, singular
 
 
+def _irls_start(family: Family, y: np.ndarray):
+    """(w0, w0 * eta0 + y - mu0) at _irls's start mu0, with eta0 the link
+    of mu0 and w0 the variance there; the normal family starts from
+    beta = 0, so that its one solve is least squares on y."""
+    if family is Family.NORMAL_IDENTITY:
+        return np.ones_like(y), y
+    if family is Family.POISSON_LOG:
+        mu = y + 0.1
+        return mu, mu * np.log(mu) + (y - mu)
+    mu = (y + 0.5) / 2.0
+    w = mu * (1.0 - mu)
+    return w, w * np.log(mu / (1.0 - mu)) + (y - mu)
+
+
 def _irls(family: Family, X: np.ndarray, y: np.ndarray):
     """Newton (IRLS) fits of G natural-link GLMs in one stacked loop.
 
@@ -135,20 +149,26 @@ def _irls(family: Family, X: np.ndarray, y: np.ndarray):
     G x p coefficients, the Gram matrices X^t W X at the start of each
     fit's last step, and per fit one of _CONVERGED, _SINGULAR, _DIVERGED
     and _MAX_ITER.  A fit stops at its own convergence or failure; the
-    others go on.  Each step makes one np.matmul per fit for eta, for
-    X^t W X and for X^t r, and one families.mean_variance pass (one exp
-    for the logit and Poisson families), so a fit's bits do not depend
-    on the other fits in its stack: each is glm_irls of its own design.
+    others go on.  Each step makes one np.matmul per fit for X^t W X and
+    for X^t r and, after the first, one for eta and one
+    families.mean_variance pass (one exp for the logit and Poisson
+    families), so a fit's bits do not depend on the other fits in its
+    stack: each is glm_irls of its own design.
 
-    Normal/identity is exact least squares in one solve without ridge; the
-    other families add a 1e-12 ridge to each Newton system, diverge when a
+    Normal/identity is exact least squares in one solve without ridge.  The
+    other families start with one weighted least-squares fit of the
+    working response from mu0 = y + 0.1 (Poisson) or (y + 0.5) / 2
+    (logit), not from beta = 0, whose first step overshoots on large
+    counts (McCullagh and Nelder 1989, section 2.5); they add a 1e-12
+    ridge to each system, the start's included, diverge when a
     coefficient is non-finite or above 1e8, and converge when the largest
-    step is below _IRLS_TOL.  A fit with no MLE ends _DIVERGED if its
-    coefficients pass the bound, else _MAX_ITER; profile_init leaves the
-    candidates that _no_mle flags out of its stacks.  (A bound on |eta|
-    would not find them safely: fits with an MLE pass it too, such as a
-    logit fit with a far-out x or of nearly separated data, or a Poisson
-    fit whose mean falls below exp(-709) at some points.)
+    step after the start's is below _IRLS_TOL.  A fit with no MLE ends
+    _DIVERGED if its coefficients pass the bound, else _MAX_ITER;
+    profile_init leaves the candidates that _no_mle flags out of its
+    stacks.  (A bound on |eta| would not find them safely: fits with an
+    MLE pass it too, such as a logit fit with a far-out x or of nearly
+    separated data, or a Poisson fit whose mean falls below exp(-709) at
+    some points.)
     """
     G, p, _ = X.shape
     normal = family is Family.NORMAL_IDENTITY
@@ -158,16 +178,23 @@ def _irls(family: Family, X: np.ndarray, y: np.ndarray):
     status = np.full(G, _MAX_ITER)
     # b and x hold the coefficients and designs of the fits still running.
     active, b, x = np.arange(G), beta.copy(), X
-    for _ in range(1 if normal else _IRLS_MAX_ITER):
-        eta = np.matmul(b[:, None, :], x)[:, 0]
-        mu, w = families.mean_variance(family, eta)
-        M = np.matmul(x * w[:, None, :], x.transpose(0, 2, 1))
-        rhs = np.matmul(x, (y - mu)[:, :, None])[:, :, 0]
+    # The first system's weights w and right-hand side X^t r, shared by the
+    # stack: r = w * eta0 + y - mu0 makes its solution the start's fit.
+    w, r = _irls_start(family, y)
+    for it in range(1 if normal else _IRLS_MAX_ITER):
+        if it:
+            eta = np.matmul(b[:, None, :], x)[:, 0]
+            mu, w = families.mean_variance(family, eta)
+            r = y - mu
+        M = np.matmul(x * w[..., None, :], x.transpose(0, 2, 1))
+        rhs = np.matmul(x, r[..., None])[:, :, 0]
         step, singular = _solve(M + ridge, rhs)
         b = b + step
         # A NaN or infinite coefficient fails the bound too.
         ok = ~singular if normal else np.abs(b).max(axis=1) <= 1e8
-        done = ok & (normal | (np.abs(step).max(axis=1) < _IRLS_TOL))
+        # The start's solve is no Newton step: its size says nothing of
+        # convergence, and its Gram matrix is not at the fit's estimate.
+        done = ok & (normal | ((it > 0) & (np.abs(step).max(axis=1) < _IRLS_TOL)))
         stop = done | ~ok
         if stop.any():
             beta[active[done]], gram[active[done]] = b[done], M[done]
@@ -341,10 +368,7 @@ def _second_extremes(x: np.ndarray, c):
     larger observed row.  Likewise for the largest.
     """
     if c is None:
-        n = x.shape[1]
-        s = np.sort(x, axis=1)
-        # min/max keep the indices in range for a single stored row
-        return s[:, min(1, n - 1)], s[:, max(n - 2, 0)]
+        c = np.ones(x.shape)
     s = np.sort(np.where(c > 0, x, np.nan), axis=1)  # unobserved rows sort last
     rows = np.arange(len(x))
     last = np.count_nonzero(c, axis=1) - 1  # the largest observed row

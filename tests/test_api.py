@@ -42,12 +42,13 @@ def test_readme_library_sketch_runs(capsys):
 SCENARIO = pathlib.Path(__file__).resolve().parent.parent / "scenarios" / "table2.scenario"
 
 
-@pytest.mark.parametrize("run", ["import", "fit", "simulate"])
+@pytest.mark.parametrize("run", ["import", "fit", "simulate", "normal-cdf", "exp-cdf"])
 def test_import_fit_and_simulate_leave_scipy_unloaded(run, tmp_path):
-    # scipy is kernel_order's alone (and the tests'): in a fresh interpreter,
-    # importing the package and the CLI, a Poisson fit with a bootstrap at a
-    # level other than 0.95, and a logit study with its Q-Q file load none
-    # of it.
+    # scipy is the tests' alone: in a fresh interpreter, importing the
+    # package and the CLI, a Poisson fit with a bootstrap at a level other
+    # than 0.95, a logit study with its Q-Q file and validate-kernel on
+    # either built-in kernel load none of it.  Only validate-kernel loads
+    # numpy.polynomial, for kernel_order's quadrature rule.
     argv = []
     if run == "fit":
         rng = np.random.default_rng(2)
@@ -63,15 +64,23 @@ def test_import_fit_and_simulate_leave_scipy_unloaded(run, tmp_path):
         (tmp_path / "logit.scenario").write_text(text)
         argv = ["simulate", "--scenario", str(tmp_path / "logit.scenario"),
                 "--out", str(tmp_path / "logit")]
+    elif run != "import":
+        argv = ["validate-kernel", "--kernel", run, "--format", "json"]
     src = str(pathlib.Path(kinkfit.__file__).resolve().parent.parent)
     code = ("import json, sys, kinkfit, kinkfit.cli\n"
             "argv = json.loads(sys.argv[1])\n"
             "code = kinkfit.cli.main(argv) if argv else 0\n"
-            "print(json.dumps([code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))")
+            "loaded = lambda name: sorted(m for m in sys.modules if m.startswith(name))\n"
+            "print(json.dumps([code, loaded('scipy'), bool(loaded('numpy.polynomial'))]))")
     out = subprocess.run([sys.executable, "-c", code, json.dumps(argv)], capture_output=True,
                          text=True, check=True, env=dict(os.environ, PYTHONPATH=src))
-    assert json.loads(out.stdout.splitlines()[-1]) == [0, []]
+    lines = out.stdout.splitlines()
+    validating = argv[:1] == ["validate-kernel"]
+    assert json.loads(lines[-1]) == [0, [], validating]
     if run == "fit":
         assert (tmp_path / "fit.csv").read_text().startswith("param,estimate,se,ci_lo,ci_hi,boot_lo")
     if run == "simulate":
         assert len((tmp_path / "logit_qq.csv").read_text().splitlines()) == 1 + 4 * 12
+    if validating:
+        report = json.loads("\n".join(lines[:-1]))
+        assert report["passed"] and report["order"] == {"normal-cdf": 2, "exp-cdf": 1}[run]

@@ -248,6 +248,15 @@ def test_glm_irls_converges_with_a_poisson_mean_below_exp_minus_709():
     np.testing.assert_allclose(X.T @ (y - np.exp(eta)), 0.0, atol=1e-8)
 
 
+@pytest.mark.parametrize("count", [500.0, 5000.0])
+def test_glm_irls_poisson_intercept_converges_at_large_counts(count):
+    # From beta = 0 the first Newton step overshoots log(count) by about
+    # count - 1 and the iteration fails; the fit starts at mu0 = y + 0.1.
+    beta, gram = glm_irls(Family.POISSON_LOG, np.ones((20, 1)), np.full(20, count))
+    np.testing.assert_allclose(beta, [np.log(count)], rtol=1e-12)
+    np.testing.assert_allclose(gram, [[20.0 * count]], rtol=1e-9)
+
+
 @pytest.mark.parametrize("far", [1e4, -1e4])
 def test_glm_irls_converges_with_a_far_out_logit_x(far):
     # One x far out in the tail, correctly predicted: its eta at the MLE is

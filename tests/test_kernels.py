@@ -5,11 +5,12 @@ import pytest
 from scipy import integrate
 from scipy.special import ndtr
 
-from kinkfit.errors import DomainError
+from kinkfit.errors import DomainError, ValidationError
 from kinkfit.kernels import (
     BANDWIDTH_FLOOR,
     CLAMP,
     BandwidthRule,
+    _kp_moments,
     bandwidth,
     custom_kernel,
     eval_kernel,
@@ -22,13 +23,18 @@ from kinkfit.kernels import (
 )
 
 
-def quad_order(kernel, max_order=8, tol=1e-6):
-    """Independent order computation: first nonzero moment of K'."""
+def quad_moment(kernel, i):
+    """Independent moment: the i-th moment of K' by adaptive quadrature
+    over the support clipped to [-50, 50]."""
     lo = max(kernel.support[0], -50.0)
     hi = min(kernel.support[1], 50.0)
+    return integrate.quad(lambda v: v**i * kernel.kp(v), lo, hi, limit=300)[0]
+
+
+def quad_order(kernel, max_order=8, tol=1e-6):
+    """Independent order computation: first nonzero moment of K'."""
     for i in range(1, max_order + 1):
-        m, _ = integrate.quad(lambda v: v**i * kernel.kp(v), lo, hi, limit=300)
-        if abs(m) > tol:
+        if abs(quad_moment(kernel, i)) > tol:
             return i
     raise AssertionError("no nonzero moment found")
 
@@ -189,6 +195,31 @@ def test_kernel_order_custom_matches_quadrature_oracle():
     assert kernel_order(k) == 2
     assert quad_order(k) == 2
     assert quad_order(exp_cdf_kernel()) == 1
+
+
+@pytest.mark.parametrize("kernel", [normal_cdf_kernel(), exp_cdf_kernel(),
+                                    scaled_normal_kernel()], ids=["normal", "exp", "normal-sd2"])
+def test_kp_moments_match_quadrature(kernel):
+    # The odd moments of the symmetric kernels vanish: both rules give
+    # round-off there, hence the absolute floor, far below the 1e-6 at
+    # which kernel_order counts a moment as nonzero.
+    want = [quad_moment(kernel, i) for i in range(1, 9)]
+    np.testing.assert_allclose(_kp_moments(kernel), want, rtol=1e-12, atol=1e-12)
+
+
+def test_kernel_order_stops_at_cauchy_second_moment():
+    # K' has no moments on the real line; on the support clipped to
+    # [-50, 50] the first vanishes and the second, about 30.8, is the order.
+    k = cauchy_tailed_kernel()
+    np.testing.assert_allclose(_kp_moments(k)[:3], [quad_moment(k, i) for i in (1, 2, 3)],
+                               rtol=1e-12, atol=1e-12)
+    assert kernel_order(k) == quad_order(k) == 2
+
+
+def test_kernel_order_raises_without_a_nonzero_moment():
+    flat = custom_kernel(k=np.zeros_like, kp=np.zeros_like, kpp=np.zeros_like, name="flat")
+    with pytest.raises(ValidationError, match="no nonzero K' moment up to order 8"):
+        kernel_order(flat)
 
 
 def test_validate_builtins_pass():
