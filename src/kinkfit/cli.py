@@ -131,30 +131,11 @@ def _is_number(cell: str) -> bool:
     return "_" not in cell
 
 
-def _fit_result_dict(fr: FitResult) -> dict:
-    return {
-        "params": dataclasses.asdict(fr.params),
-        "objective_value": fr.objective_value,
-        "iterations": fr.iterations,
-        "converged": fr.converged,
-        "grad_norm": fr.grad_norm,
-        "h_used": fr.h_used,
-        "neg_hessian_at_opt": fr.neg_hessian_at_opt.tolist(),
-        "score_cov_at_opt": fr.score_cov_at_opt.tolist(),
-    }
-
-
 def _inference_dict(inf: InferenceResult) -> dict:
-    out = {
-        "level": inf.level,
-        "cov": inf.cov_sandwich.tolist(),
-        "se": inf.se_sandwich.tolist(),
-        "se_delta": inf.se_delta.tolist(),
-        "ci_normal": inf.ci_normal.tolist(),
-    }
-    if inf.ci_bootstrap is not None:
-        out["ci_bootstrap"] = inf.ci_bootstrap.tolist()
-        out["bootstrap_reps_used"] = inf.bootstrap_reps_used
+    """The inference's fields, without the bootstrap's when there is none."""
+    out = dataclasses.asdict(inf)
+    if inf.ci_bootstrap is None:
+        del out["ci_bootstrap"], out["bootstrap_reps_used"]
     return out
 
 
@@ -236,7 +217,7 @@ def _cmd_fit(args) -> int:
         },
         "n": data.n,
         "rows_dropped_missing": dropped,
-        "fit": _fit_result_dict(fr),
+        "fit": dataclasses.asdict(fr),
         "inference": _inference_dict(inf),
     }
     _emit_fit(payload, fr, inf, args)
@@ -248,10 +229,10 @@ def _emit_fit(payload, fr: FitResult, inf: InferenceResult, args):
     parameter of its estimate, s.e. and normal interval, then its
     bootstrap interval when there is one."""
     if args.format == "json":
-        text = json.dumps(payload, indent=2)
+        text = json.dumps(payload, indent=2, default=np.ndarray.tolist)
     else:
         boot = inf.ci_bootstrap is not None
-        columns = [fr.params.to_array(), inf.se_sandwich, inf.ci_normal]
+        columns = [fr.params.to_array(), inf.se, inf.ci_normal]
         if boot:
             columns.append(inf.ci_bootstrap)
         rows = list(zip(param_names(len(fr.params.gamma)), np.column_stack(columns).tolist()))

@@ -45,7 +45,7 @@ from .errors import (
     NumericError,
 )
 from .families import Family
-from .kernels import bandwidth, eval_kernel
+from .kernels import bandwidth
 from .model import (
     Dataset,
     ModelForm,

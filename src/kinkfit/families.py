@@ -5,12 +5,12 @@ derivatives: ``b'`` is the mean function (the inverse link, since the link
 is natural) and ``b''`` the variance function.  The normal family is fixed
 at unit dispersion.
 
-``cumulant``, ``mean`` and ``mean_variance`` take theta unchecked; the model's
+``cumulant`` and ``mean_variance`` take theta unchecked; the model's
 log-likelihood reports a non-finite theta or b(theta) as NumericError.
 ``sample`` checks theta, which it gets from scenario values.
 
 The logit mean is the logistic 1 / (1 + exp(-theta)), one numpy ``exp``
-pass plus arithmetic, in ``mean``, ``mean_variance`` and ``sample`` alike.
+pass plus arithmetic, in ``mean_variance`` and ``sample`` alike.
 That is the formula of scipy's ``expit``; the two differ by a few ulp at
 most (numpy's and the C library's ``exp`` round apart), so a draw
 ``uniform < p`` could change only for a uniform within those ulp, and the
@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import DomainError
 
-__all__ = ["Family", "cumulant", "mean", "mean_variance", "sample", "in_support", "parse_family"]
+__all__ = ["Family", "cumulant", "mean_variance", "sample", "in_support", "parse_family"]
 
 
 class Family(enum.Enum):
@@ -67,15 +67,6 @@ def _logistic(theta):
     mean, clipped so that e stays finite (see mean_variance)."""
     e = np.exp(-np.maximum(theta, -709.0))
     return 1.0 / (1.0 + e), e
-
-
-def mean(family: Family, theta):
-    """Mean function b'(theta), i.e. the inverse of the natural link."""
-    if family is Family.NORMAL_IDENTITY:
-        return theta + 0.0
-    if family is Family.BERNOULLI_LOGIT:
-        return _logistic(theta)[0]
-    return np.exp(theta)
 
 
 def mean_variance(family: Family, theta):

@@ -10,14 +10,15 @@ replicates: a block's resamples share the rows any of them drew, and
 each weighs those rows by how often it drew them, which fits as its
 drawn rows themselves do.
 
-The delta-method standard errors (Muggeo 2003) come from the GLM
-linearized at a working change point tau0, in the regressors seg and
--d seg/d tau.  At tau0 = tau_hat that GLM's optimum is the fit itself,
-its information is T Sigma T with T = diag(1, 1, 1, -1/beta2, 1, ...),
-and the delta gradient of tau0 - c/beta2 undoes T, so they are the
-inverse-information standard errors: InferenceResult.se_delta holds
-se_sandwich.  Refitting the linearized GLM reproduced them to the fit's
-convergence tolerance (within 5.4e-5 relative on the logit study).
+There is one standard-error route.  Muggeo's (2003) delta method reads
+its standard errors from the GLM linearized at a working change point
+tau0, in the regressors seg and -d seg/d tau.  At tau0 = tau_hat that
+GLM's optimum is the fit itself, its information is T Sigma T with
+T = diag(1, 1, 1, -1/beta2, 1, ...), and the delta gradient of
+tau0 - c/beta2 undoes T, so its standard errors are the
+inverse-information ones, InferenceResult.se.  Refitting the linearized
+GLM reproduced them to the fit's convergence tolerance (within 5.4e-5
+relative on the logit study).
 """
 
 from __future__ import annotations
@@ -48,13 +49,17 @@ _RCOND_MIN = float(np.finfo(float).eps)
 
 @dataclass(frozen=True)
 class InferenceResult:
-    cov_sandwich: np.ndarray
-    se_sandwich: np.ndarray
-    se_delta: np.ndarray  # equal to se_sandwich; see the module docstring
-    ci_normal: np.ndarray  # (4+k) x 2
-    ci_bootstrap: np.ndarray | None
+    """The inference of one fit, its fields in the order of the CLI's
+    ``inference`` JSON object: the confidence level, the inverse-information
+    covariance, its standard errors, and the normal and (with a bootstrap)
+    percentile intervals, each (4+k) x 2."""
+
+    level: float
+    cov: np.ndarray
+    se: np.ndarray
+    ci_normal: np.ndarray
+    ci_bootstrap: np.ndarray | None = None
     bootstrap_reps_used: int = 0
-    level: float = 0.95
 
 
 def sandwich_cov(fit_result: FitResult) -> np.ndarray:
@@ -221,15 +226,7 @@ def run_inference(
         ci_boot, used = bootstrap_ci(
             spec, data, fit_result, bootstrap_B, level=level, seed=seed
         )
-    return InferenceResult(
-        cov_sandwich=cov,
-        se_sandwich=se,
-        se_delta=se,
-        ci_normal=ci,
-        ci_bootstrap=ci_boot,
-        bootstrap_reps_used=used,
-        level=level,
-    )
+    return InferenceResult(level, cov, se, ci, ci_boot, used)
 
 
 def _z(level: float) -> float:

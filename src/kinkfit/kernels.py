@@ -23,7 +23,6 @@ __all__ = [
     "BandwidthRule",
     "normal_cdf_kernel",
     "exp_cdf_kernel",
-    "custom_kernel",
     "eval_kernel",
     "bandwidth",
     "kernel_order",
@@ -55,7 +54,8 @@ class Kernel:
 
     ``k``, ``kp``, ``kpp`` are vectorized callables for K, K' and K''.
     They are the *raw* functions; use :func:`eval_kernel` for the clamped
-    evaluation used in model code.
+    evaluation used in model code.  Run :func:`validate` on a kernel built
+    from user-supplied callables before trusting it.
     """
 
     name: str
@@ -111,12 +111,6 @@ def exp_cdf_kernel() -> Kernel:
         return np.where(u >= 0.0, -np.exp(-np.maximum(u, 0.0)), 0.0)
 
     return Kernel(name="exp-cdf", k=k, kp=kp, kpp=kpp, support=(0.0, np.inf))
-
-
-def custom_kernel(k, kp, kpp, name="custom", support=(-np.inf, np.inf)) -> Kernel:
-    """Wrap user-supplied K, K', K'' callables; run :func:`validate` on the
-    result before trusting it."""
-    return Kernel(name=name, k=k, kp=kp, kpp=kpp, support=support)
 
 
 def eval_kernel(kernel: Kernel, u):

@@ -4,6 +4,10 @@ A scenario fixes the generating truth (indicator model, not the smoothed
 one), the sample size, and the estimation settings.  Replicate r of a
 scenario is fully determined by (seed, r), so runs are reproducible and
 any subset of replicates can be rerun on its own.
+
+The report's two average standard-error rows, "asymptotic" and "delta",
+are one number, the mean of the replicates' InferenceResult.se: the
+delta route equals the inverse-information one (see inference).
 """
 
 from __future__ import annotations
@@ -197,7 +201,7 @@ def run(scenario: SimScenario) -> SimReport:
                 continue
             est = fr.params.to_array()
             ests.append(est)
-            ses.append(inf.se_sandwich)
+            ses.append(inf.se)
             cover.append((inf.ci_normal[:, 0] <= truth) & (truth <= inf.ci_normal[:, 1]))
             if inf.ci_bootstrap is not None:
                 cover_boot.append(
@@ -206,7 +210,7 @@ def run(scenario: SimScenario) -> SimReport:
     if not ests:
         raise ConvergenceError("every replicate failed to fit")
     E = np.asarray(ests)
-    avg_se = np.asarray(ses).mean(axis=0)  # se_delta is se_sandwich
+    avg_se = np.asarray(ses).mean(axis=0)
     report = SimReport(
         scenario=scenario,
         param_names=param_names(len(scenario.true_params.gamma)),

@@ -17,7 +17,7 @@ from kinkfit.errors import KinkfitError
 from kinkfit.estimator import fit, fit_beta_given_tau, glm_irls
 from kinkfit.families import Family
 from kinkfit.inference import sandwich_cov
-from kinkfit.kernels import custom_kernel, exp_cdf_kernel, kernel_order, normal_cdf_kernel, validate
+from kinkfit.kernels import Kernel, exp_cdf_kernel, kernel_order, normal_cdf_kernel, validate
 from kinkfit.model import ParamVector, evaluate, indicator_segment, objective
 from kinkfit.simulate import SimScenario, generate, load_scenario, run
 
@@ -187,11 +187,11 @@ def test_criterion_6_indicator_limit_oracle():
 def test_criterion_7_kernel_validation():
     normal = normal_cdf_kernel()
     expk = exp_cdf_kernel()
-    cauchy = custom_kernel(
+    cauchy = Kernel(
+        name="cauchy-cdf",
         k=lambda u: 0.5 + np.arctan(u) / np.pi,
         kp=lambda u: 1.0 / (np.pi * (1.0 + u**2)),
         kpp=lambda u: -2.0 * u / (np.pi * (1.0 + u**2) ** 2),
-        name="cauchy-cdf",
     )
     rep_c = validate(cauchy)
     report("criterion 7: kernel regularity and order", [

@@ -13,12 +13,11 @@ from kinkfit.cli import (
     EXIT_OK,
     EXIT_USAGE,
     SCHEMA_VERSION,
-    _fit_result_dict,
     ingest_csv,
     main,
 )
 from kinkfit.errors import DataError
-from kinkfit.estimator import fit, fit_stack
+from kinkfit.estimator import FitResult, fit, fit_stack
 from kinkfit.families import Family
 from kinkfit.model import ParamVector
 
@@ -286,16 +285,34 @@ def test_unidentified_model_is_nonconvergence_exit(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "fit-error"
 
 
-def test_fit_result_round_trip():
+def test_fit_result_round_trip(tmp_path, capsys):
+    # The JSON's fit object reads back as the library's fit of the same rows.
     spec = make_spec()
     data = make_data(spec, n=200, seed=4)
+    path = tmp_path / "d.csv"
+    write_csv(path, np.column_stack([data.y, data.x]))
     fr = fit(spec, data)
-    back = json.loads(json.dumps(_fit_result_dict(fr)))
+    assert main(["fit", "--input", str(path), "--y-col", "y", "--x-col", "x"]) == EXIT_OK
+    back = json.loads(capsys.readouterr().out)["fit"]
     assert set(back) == {f.name for f in dataclasses.fields(fr)}
     p = back["params"]
     assert ParamVector(p["beta0"], p["beta1"], p["beta2"], p["tau"], tuple(p["gamma"])) == fr.params
     for name in set(back) - {"params"}:
         np.testing.assert_array_equal(back[name], getattr(fr, name))
+
+
+def test_fit_json_keys_are_the_result_fields_in_order(normal_csv, capsys):
+    # The fit object has FitResult's fields and the inference object
+    # InferenceResult's, in order; the bootstrap's two go when there is none.
+    argv = ["fit", "--input", str(normal_csv), "--y-col", "y", "--x-col", "x"]
+    assert main(argv) == EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+    assert list(payload["fit"]) == [f.name for f in dataclasses.fields(FitResult)]
+    assert list(payload["inference"]) == ["level", "cov", "se", "ci_normal"]
+    assert main([*argv, "--bootstrap", "200"]) == EXIT_OK
+    payload = json.loads(capsys.readouterr().out)
+    assert list(payload["inference"]) == [
+        "level", "cov", "se", "ci_normal", "ci_bootstrap", "bootstrap_reps_used"]
 
 
 def test_simulate_smoke_scenario(tmp_path, capsys, monkeypatch):

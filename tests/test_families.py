@@ -11,7 +11,6 @@ from kinkfit.families import (
     Family,
     cumulant,
     in_support,
-    mean,
     mean_variance,
     parse_family,
     sample,
@@ -52,7 +51,6 @@ def test_logit_mean_variance_matches_expit():
     m, v = mean_variance(Family.BERNOULLI_LOGIT, theta)
     np.testing.assert_allclose(m, expit(theta), rtol=2e-15, atol=0)
     np.testing.assert_allclose(v, expit(theta) * expit(-theta), rtol=2e-15, atol=0)
-    np.testing.assert_array_equal(mean(Family.BERNOULLI_LOGIT, theta), m)
 
 
 def test_logit_mean_variance_in_the_far_tails():

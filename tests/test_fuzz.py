@@ -44,7 +44,5 @@ def test_fit_and_inference_raise_typed_errors_or_return_finite_values(
     except KinkfitError:
         return
     assert np.all(np.isfinite(res.params.to_array()))
-    assert np.all(np.isfinite(inf.se_sandwich))
+    assert np.all(np.isfinite(inf.se))
     assert np.all(np.isfinite(inf.ci_normal))
-    if inf.se_delta is not None:
-        assert np.all(np.isfinite(inf.se_delta))

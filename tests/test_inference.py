@@ -100,7 +100,7 @@ def test_covariance_of_rescaled_x_is_the_rescaled_covariance(form, power):
     data_s = Dataset(x=data.x * s, y=data.y)
     res_s = fit(spec_s, data_s)
     assert res.converged and res_s.converged
-    se = run_inference(spec_s, data_s, res_s).se_sandwich
+    se = run_inference(spec_s, data_s, res_s).se
     scale = np.array([1.0, 1.0 / s, s ** -power, s])
     np.testing.assert_allclose(se, sandwich_cov(res).diagonal() ** 0.5 * scale, rtol=1e-7)
 
@@ -227,15 +227,13 @@ def test_bootstrap_collapses_on_noise_free_data():
 def test_run_inference_assembles_everything():
     spec, data, res = fitted(seed=8, n=300)
     out = run_inference(spec, data, res, bootstrap_B=200, seed=[2])
-    assert out.cov_sandwich.shape == (4, 4)
-    np.testing.assert_allclose(out.se_sandwich,
-                               np.sqrt(np.diag(out.cov_sandwich)))
+    assert out.cov.shape == (4, 4)
+    np.testing.assert_allclose(out.se, np.sqrt(np.diag(out.cov)))
     est = res.params.to_array()
     np.testing.assert_allclose(out.ci_normal[:, 0],
-                               est - 1.96 * out.se_sandwich, rtol=1e-12)
+                               est - 1.96 * out.se, rtol=1e-12)
     np.testing.assert_allclose(out.ci_normal[:, 1],
-                               est + 1.96 * out.se_sandwich, rtol=1e-12)
-    assert out.se_delta.shape == (4,)
+                               est + 1.96 * out.se, rtol=1e-12)
     assert out.ci_bootstrap.shape == (4, 2)
     assert out.bootstrap_reps_used <= 200
     assert out.level == 0.95
@@ -278,11 +276,12 @@ def bootstrap_by_take(spec, data, fit_result, B, seed):
 
 
 def linearized_delta_se(spec, data, tau0):
-    """Reference for se_delta: the standard errors of the GLM linearized at
-    tau0 (Muggeo 2003), in the constructed regressors u = seg(x, tau0) and
-    v = -d seg/d tau, with the delta-method SE of tau0 - c/beta2 in tau's
-    slot, c being v's coefficient.  At tau0 = tau_hat these are the
-    inverse-information SEs, to the fit's convergence tolerance."""
+    """Reference for the delta route: the standard errors of the GLM
+    linearized at tau0 (Muggeo 2003), in the constructed regressors
+    u = seg(x, tau0) and v = -d seg/d tau, with the delta-method SE of
+    tau0 - c/beta2 in tau's slot, c being v's coefficient.  At
+    tau0 = tau_hat these are the inverse-information SEs, to the fit's
+    convergence tolerance."""
     h = bandwidth(spec.bw, data.n)
     seg, d_tau, _ = segment_term(spec.form, data.x, tau0, h, spec.kernel)
     coef, info = glm_irls(spec.family, design(data, seg, -d_tau), data.y)
@@ -320,8 +319,7 @@ def test_delta_se_is_the_linearized_glms():
     for spec, data in samples:
         res = fit(spec, data)
         out = run_inference(spec, data, res)
-        np.testing.assert_array_equal(out.se_delta, out.se_sandwich)
-        np.testing.assert_allclose(out.se_delta, linearized_delta_se(spec, data, res.params.tau),
+        np.testing.assert_allclose(out.se, linearized_delta_se(spec, data, res.params.tau),
                                    rtol=1e-4, atol=0)
 
 

@@ -10,9 +10,9 @@ from kinkfit.kernels import (
     BANDWIDTH_FLOOR,
     CLAMP,
     BandwidthRule,
+    Kernel,
     _kp_moments,
     bandwidth,
-    custom_kernel,
     eval_kernel,
     exp_cdf_kernel,
     kernel_order,
@@ -41,22 +41,22 @@ def quad_order(kernel, max_order=8, tol=1e-6):
 
 def cauchy_tailed_kernel():
     # CDF of the standard Cauchy: tails decay like 1/u, so u K'(u) -> 1/pi
-    return custom_kernel(
+    return Kernel(
+        name="cauchy-cdf",
         k=lambda u: 0.5 + np.arctan(u) / np.pi,
         kp=lambda u: 1.0 / (np.pi * (1.0 + u**2)),
         kpp=lambda u: -2.0 * u / (np.pi * (1.0 + u**2) ** 2),
-        name="cauchy-cdf",
     )
 
 
 def scaled_normal_kernel():
     # CDF of N(0, 2): symmetric, so still order 2
     s = np.sqrt(2.0)
-    return custom_kernel(
+    return Kernel(
+        name="normal-cdf-sd2",
         k=lambda u: ndtr(u / s),
         kp=lambda u: np.exp(-u**2 / 4.0) / (s * np.sqrt(2 * np.pi)),
         kpp=lambda u: -(u / 2.0) * np.exp(-u**2 / 4.0) / (s * np.sqrt(2 * np.pi)),
-        name="normal-cdf-sd2",
     )
 
 
@@ -134,7 +134,7 @@ def test_kernel_is_called_only_inside_the_window():
         return wrapped
 
     base = normal_cdf_kernel()
-    kern = custom_kernel(counted(base.k), counted(base.kp), counted(base.kpp))
+    kern = Kernel(name="counted", k=counted(base.k), kp=counted(base.kp), kpp=counted(base.kpp))
     u = np.array([-1e7, -CLAMP - 1, -CLAMP, -3.0, 0.0, 0.5, CLAMP, CLAMP + 1, 1e7])
     eval_kernel(kern, u)
     assert len(seen) == 3
@@ -217,7 +217,7 @@ def test_kernel_order_stops_at_cauchy_second_moment():
 
 
 def test_kernel_order_raises_without_a_nonzero_moment():
-    flat = custom_kernel(k=np.zeros_like, kp=np.zeros_like, kpp=np.zeros_like, name="flat")
+    flat = Kernel(name="flat", k=np.zeros_like, kp=np.zeros_like, kpp=np.zeros_like)
     with pytest.raises(ValidationError, match="no nonzero K' moment up to order 8"):
         kernel_order(flat)
 

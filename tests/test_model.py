@@ -13,8 +13,8 @@ from kinkfit.families import Family
 import kinkfit.model as model_module
 from kinkfit.kernels import (
     CLAMP,
+    Kernel,
     bandwidth,
-    custom_kernel,
     eval_kernel,
     exp_cdf_kernel,
     normal_cdf_kernel,
@@ -347,9 +347,10 @@ def test_window_segment_term_matches_the_full_array_form(layout, h, form, kernel
 
 # Cauchy tails: K' is still 3e-7 at |u| = CLAMP, so a point left out of
 # the window would change the bits.
-_CAUCHY = custom_kernel(k=lambda u: 0.5 + np.arctan(u) / np.pi,
-                        kp=lambda u: 1.0 / (np.pi * (1.0 + u * u)),
-                        kpp=lambda u: -2.0 * u / (np.pi * (1.0 + u * u) ** 2))
+_CAUCHY = Kernel(name="cauchy-cdf",
+                 k=lambda u: 0.5 + np.arctan(u) / np.pi,
+                 kp=lambda u: 1.0 / (np.pi * (1.0 + u * u)),
+                 kpp=lambda u: -2.0 * u / (np.pi * (1.0 + u * u) ** 2))
 
 
 @pytest.mark.parametrize("kernel", [normal_cdf_kernel(), exp_cdf_kernel(), _CAUCHY],

@@ -9,7 +9,7 @@ from kinkfit import estimator, simulate
 from kinkfit.errors import ConvergenceError, DataError, InitializationError, NumericError
 from kinkfit.estimator import glm_irls, profile_init
 from kinkfit.families import Family, sample
-from kinkfit.kernels import bandwidth, custom_kernel, normal_cdf_kernel
+from kinkfit.kernels import Kernel, bandwidth, normal_cdf_kernel
 from kinkfit.model import Dataset, ParamVector, design, indicator_segment, objective
 
 from conftest import make_data, make_spec
@@ -259,11 +259,11 @@ def test_non_finite_smoothed_objective_of_a_candidate_is_a_numeric_error():
     # (it uses the hard indicator) but its smoothed objective is not
     # finite.  Such a candidate fails the scan; it is not dropped.
     normal = normal_cdf_kernel()
-    kernel = custom_kernel(
+    kernel = Kernel(
+        name="infinite-tail",
         k=lambda u: np.where(u > 0.9, np.inf, normal.k(u)),
         kp=normal.kp,
         kpp=normal.kpp,
-        name="infinite-tail",
     )
     spec = make_spec(kernel=kernel, bandwidth="fixed:0.01")
     data = make_data(spec, seed=33)
