@@ -26,7 +26,13 @@ into a temporary directory: its table on stdout and its three files
 (``_report.txt``, ``_report.csv``, ``_qq.csv``).  ``validate_kernel`` is
 ``kinkfit validate-kernel --format json`` on each built-in kernel
 (``normal-cdf`` and ``exp-cdf``); it has no seed, and its row shows 0.
-Each text is hashed with the exit code.
+Each text is hashed with the exit code.  ``cli_ingest`` (no seed) hashes
+the exit code, stdout and stderr of ``kinkfit fit --format json`` on
+five CSV files that the script writes, each with a blank line, short
+rows, empty cells, whitespace-padded numbers and a quoted field spanning
+two lines: one that fits, and one each with a ``1_0`` cell, a ``nan``
+cell, an ``inf`` cell and an out-of-support Poisson y, so that every
+rule of the CSV reader and its error messages are compared.
 
 A refactor that claims the same numbers shows the same hashes in every
 column.  Each checkout runs in its own subprocess, with ``kinkfit``
@@ -44,7 +50,7 @@ coverages and ``estimates`` (``sim_logit``), the CLI's exit code and
 the numbers of its JSON output, grouped by key path
 (``cli_boot_poisson``), the intervals and resamples used
 (``boot_table1``), and the numbers written in each text (``cli_table``,
-``smoke_report``, ``validate_kernel``).  The relative difference of two
+``smoke_report``, ``validate_kernel``, ``cli_ingest``).  The relative difference of two
 values is |a - b| / max(|a|, |b|); a NaN in one column and not the other
 reads as an infinite difference.
 
@@ -67,7 +73,7 @@ CASES = [("sim_logit", 1), ("sim_logit", 7919),
          ("cli_boot_poisson", 7), ("cli_boot_poisson", 7919),
          ("boot_table1", 1), ("boot_table1", 7919),
          ("cli_table", 0), ("cli_table", 7919), ("smoke_report", 7),
-         ("validate_kernel", 0)]
+         ("validate_kernel", 0), ("cli_ingest", 0)]
 
 # Run in the checkout's subprocess: argv is (checkout, workdir, cases as JSON);
 # prints one JSON line per case: [name, seed, sha256, {array name: values}].
@@ -121,11 +127,12 @@ def texts_case(texts):
     digest = hashlib.sha256(json.dumps(texts, sort_keys=True).encode()).hexdigest()
     return digest, {k: [float(t) for t in NUMBER.findall(v)] for k, v in texts.items()}
 
-def cli_text(argv):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+def cli_text(argv, stderr=False):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = kinkfit.cli.main(argv)
-    return f"exit {code}\\n{out.getvalue()}"
+    text = f"exit {code}\\n{out.getvalue()}"
+    return f"{text}\\nstderr\\n{err.getvalue()}" if stderr else text
 
 def cli_table(seed):
     wl = workloads.WORKLOADS["cli_boot_poisson"]()
@@ -148,9 +155,45 @@ def validate_kernel(seed):
                                          "--format", "json"])
                        for kernel in ("normal-cdf", "exp-cdf")})
 
+def ingest_rows():
+    # 40 rows of a broken line in x, with a deterministic wiggle for noise,
+    # and a note column that no fit reads.
+    x = np.round(np.linspace(-2.0, 2.0, 40), 3)
+    y = 1.0 + 0.5 * x + 2.0 * np.maximum(x - 0.3, 0.0) + 0.1 * np.sin(7.0 * np.arange(40))
+    return [[repr(float(a)), repr(float(b)), "r"] for a, b in zip(y, x)]
+
+def cli_ingest(seed):
+    # Every file has a blank line, short rows, empty cells,
+    # whitespace-padded numbers and a quoted note spanning two lines; the
+    # first fits, and each of the others has one bad cell after them: a
+    # 1_0, a nan, an inf, or an out-of-support Poisson y.
+    def csv_text(rows):
+        lines = ["y,x,note", ""] + [",".join(r) for r in rows]
+        lines[12:12] = ["0.5", ",1.0,r", "2.0,,r", "1,0.25", "7.5"]
+        return "\\n".join(lines) + "\\n"
+    rows = ingest_rows()
+    rows[3][0], rows[5][1] = " " + rows[3][0] + " ", "\\t" + rows[5][1]
+    rows[8][2] = '"two\\nlines"'
+    files = {"mixed": ("normal", rows)}
+    for name, (i, j, cell) in {"underscore": (20, 1, "1_0"), "nan": (25, 0, "nan"),
+                                "inf": (30, 1, "inf")}.items():
+        bad = [list(r) for r in rows]
+        bad[i][j] = cell
+        files[name] = ("normal", bad)
+    counts = [[str(k % 4), *r[1:]] for k, r in enumerate(rows)]
+    counts[17][0] = "-1"
+    files["support"] = ("poisson", counts)
+    texts = {}
+    for name, (family, rows) in files.items():
+        path = Path(workdir) / f"ingest-{name}.csv"
+        path.write_text(csv_text(rows))
+        texts[name] = cli_text(["fit", "--input", str(path), "--y-col", "y", "--x-col", "x",
+                                "--family", family, "--format", "json"], stderr=True)
+    return texts_case(texts)
+
 # The cases that are not one call of a workload.
 OWN_CASES = {"boot_table1": boot_table1, "cli_table": cli_table, "smoke_report": smoke_report,
-             "validate_kernel": validate_kernel}
+             "validate_kernel": validate_kernel, "cli_ingest": cli_ingest}
 
 for name, seed in cases:
     if name in OWN_CASES:

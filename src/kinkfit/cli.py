@@ -14,7 +14,9 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import itertools
 import json
+import operator
 import sys
 
 import numpy as np
@@ -66,6 +68,8 @@ def ingest_csv(path, y_col, x_col, z_cols, family):
     1_0 as 10), non-finite ones (nan, inf) and out-of-support responses
     are data errors naming the offending cell by its line number in the
     file (the last line of a record that spans several) and its column.
+    The mapped cells are read as float reads them, _CAST_ROWS rows at a
+    time (_cast_rows).
     """
     names = [y_col, x_col, *(z_cols or [])]
     try:
@@ -81,30 +85,26 @@ def ingest_csv(path, y_col, x_col, z_cols, family):
                 raise DataError(f"column {col!r} not present in {path} (has {header})")
         cols = [position[c] for c in names]
         width = max(cols) + 1
-        rows, lines = [], []
+        mapped = operator.itemgetter(*cols)  # a tuple: names has two or more
+        blocks, rows, lines = [], [], []
         dropped = 0
         for row in reader:
-            if not row:
-                continue
             if len(row) < width:
+                dropped += bool(row)  # a blank line is no row
+                continue
+            cells = mapped(row)
+            if "" in cells:
                 dropped += 1
                 continue
-            cells = [row[i] for i in cols]
-            try:
-                values = [float(c) for c in cells]
-            except ValueError:
-                if any(c.strip() == "" for c in cells):
-                    dropped += 1
-                    continue
-                values = None
-            if values is None or "_" in "".join(cells):
-                col, cell = next((n, c) for n, c in zip(names, cells) if not _is_number(c))
-                raise DataError(
-                    f"{path} row {reader.line_num}, column {col!r}: non-numeric value {cell!r}"
-                )
-            rows.append(values)
+            rows.append(cells)
             lines.append(reader.line_num)
-    vals = np.asarray(rows).reshape(len(rows), len(names))
+            if len(rows) == _CAST_ROWS:
+                blocks.append(_cast_rows(rows, lines, names, path))
+                rows, lines = [], []
+        blocks.append(_cast_rows(rows, lines, names, path))
+    vals = np.concatenate([b[0] for b in blocks])
+    lines = list(itertools.chain.from_iterable(b[1] for b in blocks))
+    dropped += sum(b[2] for b in blocks)
     bad = np.argwhere(~np.isfinite(vals))
     if bad.size:
         r, j = bad[0]
@@ -120,6 +120,45 @@ def ingest_csv(path, y_col, x_col, z_cols, family):
         )
     data = Dataset(x=vals[:, 1].copy(), y=y, z=vals[:, 2:].copy() if z_cols else None)
     return data, dropped
+
+
+# ingest_csv's rows per cast: the cells of a block are alive as strings
+# until its cast, about 0.3 MB for 1 024 rows of four numbers.
+_CAST_ROWS = 1024
+
+
+def _cast_rows(rows, lines, names, path):
+    """A block of ingest_csv's mapped cells, as float reads them: (values,
+    their lines, rows dropped).
+
+    One cast of the block's object array when every cell is a number
+    without an underscore; else the block is read row by row: a row with
+    a whitespace-only cell is dropped, and the first row with a cell that
+    float cannot read or that holds an underscore is a DataError naming
+    that cell.
+    """
+    flat = list(itertools.chain.from_iterable(rows))
+    if "_" not in "".join(flat):
+        try:
+            values = np.array(flat, dtype=object).astype(float)
+            return values.reshape(len(rows), len(names)), lines, 0
+        except ValueError:
+            pass
+    values, kept, dropped = [], [], 0
+    for cells, line in zip(rows, lines):
+        try:
+            row = [float(c) for c in cells]
+        except ValueError:
+            if any(c.strip() == "" for c in cells):
+                dropped += 1
+                continue
+            row = None
+        if row is None or "_" in "".join(cells):
+            col, cell = next((n, c) for n, c in zip(names, cells) if not _is_number(c))
+            raise DataError(f"{path} row {line}, column {col!r}: non-numeric value {cell!r}")
+        values.append(row)
+        kept.append(line)
+    return np.array(values).reshape(len(values), len(names)), kept, dropped
 
 
 def _is_number(cell: str) -> bool:

@@ -33,6 +33,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+# np.linalg.cholesky and np.linalg.solve call these LAPACK gufuncs inside
+# an errstate that raises for the whole stack when one matrix fails.
+# _newton calls them directly, under fit_stack's errstate(all="ignore"): a
+# matrix that fails gives a NaN result of its own, the others the same
+# bits, and a call on a few 6 x 6 matrices costs a third of the wrapped one.
+from numpy.linalg import _umath_linalg as _LAPACK
 
 from . import families
 from .errors import (
@@ -111,7 +117,8 @@ def _solve(M: np.ndarray, rhs: np.ndarray):
     """Solve the stacked systems M[g] x = rhs[g].
 
     Returns (x, singular).  A singular M[g] gives a NaN row and a True
-    singular[g] instead of failing the whole stack.
+    singular[g] instead of failing the whole stack.  (_newton, which
+    counts every non-finite step as singular, calls _LAPACK.solve alone.)
     """
     singular = np.zeros(len(M), dtype=bool)
     try:
@@ -337,20 +344,12 @@ def profile_init(
 
 
 def _positive_definite(M: np.ndarray) -> np.ndarray:
-    """Per-matrix flags: whether each stacked M[g] has a Cholesky factor."""
-    try:
-        np.linalg.cholesky(M)
-        return np.ones(len(M), dtype=bool)
-    except np.linalg.LinAlgError:
-        # A stacked Cholesky fails as a whole if one matrix fails (an
-        # indefinite J is routine); test them one by one.
-        ok = np.ones(len(M), dtype=bool)
-        for g in range(len(M)):
-            try:
-                np.linalg.cholesky(M[g])
-            except np.linalg.LinAlgError:
-                ok[g] = False
-        return ok
+    """Per-matrix flags: whether each stacked M[g] has a Cholesky factor.
+
+    The factor of a matrix that has none comes back NaN (see _LAPACK), so
+    each flag is that of its matrix alone; a factor's diagonal is positive.
+    """
+    return _LAPACK.cholesky_lo(M)[:, 0, 0] > 0.0
 
 
 def _pick(arrays, sel):
@@ -361,39 +360,45 @@ def _pick(arrays, sel):
 def _second_extremes(x: np.ndarray, c):
     """Second smallest and second largest of the observations that the
     rows of x stand for, counts c (None: once each), per problem of the
-    G x n stack.  A row counting 0 stands for no observation.
+    G x n stack: x(2) and x(N-1) of its N >= 2 observations.  A row
+    counting 0 stands for no observation.
 
-    The smallest observation is its own neighbour when two or more
-    observations take its value; otherwise the neighbour is the next
-    larger observed row.  Likewise for the largest.
+    The smallest observation is its own neighbour when its row counts two
+    or more; otherwise the neighbour is the smallest of the other observed
+    rows, which is the same value when one of them ties with it.  Likewise
+    for the largest.  O(n) per problem: an argmin and an argmax find the
+    extreme rows, and a min and a max over the others with those two masked.
     """
-    if c is None:
-        c = np.ones(x.shape)
-    s = np.sort(np.where(c > 0, x, np.nan), axis=1)  # unobserved rows sort last
     rows = np.arange(len(x))
-    last = np.count_nonzero(c, axis=1) - 1  # the largest observed row
-    lo, hi = s[:, 0], s[rows, last]
-    lo = np.where((c * (x == lo[:, None])).sum(axis=1) >= 2, lo, s[rows, np.minimum(1, last)])
-    hi = np.where((c * (x == hi[:, None])).sum(axis=1) >= 2, hi, s[rows, np.maximum(last - 1, 0)])
-    return lo, hi
+    lo, hi = x.copy(), x.copy()  # the unobserved rows go to +inf and -inf
+    if c is not None:
+        unobserved = c == 0
+        lo[unobserved], hi[unobserved] = np.inf, -np.inf
+    i, j = lo.argmin(axis=1), hi.argmax(axis=1)
+    lo1, hi1 = lo[rows, i], hi[rows, j]
+    lo[rows, i], hi[rows, j] = np.inf, -np.inf
+    lo2, hi2 = lo.min(axis=1), hi.max(axis=1)
+    if c is None:
+        return lo2, hi2
+    return np.where(c[rows, i] >= 2, lo1, lo2), np.where(c[rows, j] >= 2, hi1, hi2)
 
 
-def _newton(spec: ModelSpec, x, y, z, c, start: np.ndarray, h: float):
+def _newton(spec: ModelSpec, x, y, z, c, start: np.ndarray, h: float, N: int):
     """Damped Newton ascent of G smoothed objectives in one stacked loop.
 
     Problem g has the observations x[g], y[g] and z[g] (G x n, G x n and
     G x n x k, z None without covariates), observation i counting c[g, i]
-    times (c None: once each; zeros allowed; every row of c sums to the
-    same N), and starts from row g of the G x (4 + k) start.  The gradient tolerance
-    and the change point's bounds x(2) and x(N-1) are those of the N
-    observations, not of the n stored rows.  Returns (p, q, S, J, Sig,
-    iterations, status) stacked over the problems, status being one of
-    _CONVERGED, _STOPPED (no ascent, indefinite curvature at a stationary
-    point, or the iteration limit), _NUMERIC, _NO_RIDGE, _SINGULAR and
-    _BOUNDARY.  A problem leaves the loop at its own stop; the rows still
-    running are compacted only then.  Every model evaluation is one stacked pass whose
-    rows match a stack of one bit for bit, so a problem's result does not
-    depend on its block.
+    times (c None: once each; zeros allowed; every row of c sums to N,
+    which is n without counts), and starts from row g of the G x (4 + k)
+    start.  The gradient tolerance and the change point's bounds x(2) and
+    x(N-1) are those of the N observations, not of the n stored rows.
+    Returns (p, q, S, J, Sig, iterations, status) stacked over the
+    problems, status being one of _CONVERGED, _STOPPED (no ascent,
+    indefinite curvature at a stationary point, or the iteration limit),
+    _NUMERIC, _NO_RIDGE, _SINGULAR and _BOUNDARY.  A problem leaves the
+    loop at its own stop; the rows still running are compacted only then.
+    Every model evaluation is one stacked pass whose rows match a stack of
+    one bit for bit, so a problem's result does not depend on its block.
 
     Each trial of the step halving is one value_rows pass over the rows
     still searching.  The accepted rows keep their trial's arrays (as they
@@ -402,15 +407,22 @@ def _newton(spec: ModelSpec, x, y, z, c, start: np.ndarray, h: float):
     derivative_rows pass goes on from them, so each accepted step computes
     the segment term once.  The Jacobian buffer of the running rows is
     built once, with its [1, x, z] columns, and compacted with them.
+
+    The bookkeeping between the passes works on arrays of the running
+    rows, not of the observations, so its cost per iteration is the same
+    at any n; an iteration makes only the calls its rows need.  The
+    statuses and the positions of the running rows are kept from one
+    iteration to the next and rebuilt only when a row leaves.  The step
+    lengths and each row's gradient test are worked out only in an
+    iteration where some row's gradient is small, since only there can a
+    row converge.  The Cholesky factors and the Newton steps come from
+    numpy's LAPACK gufuncs (_LAPACK), one call per stack.
     """
-    G, n = x.shape
-    n_par = start.shape[1]
-    eye = np.eye(n_par)
+    G, n_par = start.shape
     lo, hi = _second_extremes(x, c)
-    if c is not None:
-        n = int(c[0].sum())  # observations, for the gradient test
+    grad_tol = _TOL * N
     p = start.copy()
-    p[:, 3] = np.clip(p[:, 3], lo, hi)
+    p[:, 3] = np.minimum(np.maximum(p[:, 3], lo), hi)
     Dr = jacobian_buffer(x, z, G, n_par)
     q, S, J, Sig, ok = derivative_rows(spec, p, y, c, value_rows(spec, p, x, y, z, c, h), Dr)
     iterations = np.zeros(G, dtype=int)
@@ -422,18 +434,21 @@ def _newton(spec: ModelSpec, x, y, z, c, start: np.ndarray, h: float):
     obs = _pick((x, y, z, c), sel)  # the running rows' (x, y, z, c)
     Dr = Dr[sel]  # and their Jacobian buffer
     lor, hir, pr, qr, Sr, Jr, Sigr = _pick((lo, hi, p, q, S, J, Sig), sel)
+    m = rows.size
+    every = np.arange(m)  # the running rows' positions
+    out = np.full(m, -1)  # the status of each running row, -1 until it stops
     for it in range(1, _NEWTON_MAX_ITER + 1):
-        if rows.size == 0:
+        if m == 0:
             break
-        m = rows.size
-        out = np.full(m, -1)  # the status of each row leaving after this iteration
         # Newton matrix: the negative Hessian if positive definite, else
         # the always-PSD Gram matrix with escalating ridge (Fisher
         # scoring); J with a small ridge stays indefinite when the change
         # point sits in a smoothing window.
         M = Jr
         pd = _positive_definite(Jr)
+        stopped = False  # whether some row stops in this iteration
         if not pd.all():
+            eye = np.eye(n_par)
             M, left = Jr.copy(), np.flatnonzero(~pd)
             scale = np.maximum(np.trace(Sigr[left], axis1=1, axis2=2) / n_par, 1.0)
             for lam in 10.0 ** np.arange(-10, -1):
@@ -445,90 +460,120 @@ def _newton(spec: ModelSpec, x, y, z, c, start: np.ndarray, h: float):
                     break
             M[left] = eye  # placeholder; these rows leave unsolved
             out[left] = _NO_RIDGE
-        step, singular = _solve(M, Sr)
+            stopped = left.size > 0
+        step = _LAPACK.solve(M, Sr[:, :, None])[:, :, 0]
         # A Cholesky-passing M can still meet an exact zero LU pivot when
-        # the design is rank deficient (two distinct x values); a step that
-        # overflows counts as singular too.
-        singular |= ~np.isfinite(step).all(axis=1)
-        if singular.any():
-            out[singular & (out < 0)] = _SINGULAR
-        grad_ok = np.abs(Sr).max(axis=1) < _TOL * n
-        # A stationary row stops halving once frac * limit < _TOL; the
-        # others have no such limit.  Norms are summed as np.linalg.norm
-        # sums them, so the tests against _TOL see the same bits.
-        limit = np.where(grad_ok, np.sqrt((step * step).sum(axis=1)), np.inf)
+        # the design is rank deficient (two distinct x values); its step
+        # comes back NaN, and a step that overflows counts as singular too.
+        if not np.isfinite(step).all():
+            out[~np.isfinite(step).all(axis=1) & (out < 0)] = _SINGULAR
+            stopped = True
+        s = np.flatnonzero(out < 0) if stopped else every  # the rows searching
+        # A stationary row (max|S| < _TOL * N) stops halving once
+        # frac * limit < _TOL; the others have no such limit, and without
+        # a stationary row there is none.  Norms are summed as
+        # np.linalg.norm sums them, so the tests against _TOL see the
+        # same bits.
+        grad = np.abs(Sr).max(axis=1)
+        limit = None
+        if grad.min() < grad_tol:
+            grad_ok = grad < grad_tol
+            limit = np.where(grad_ok, np.sqrt((step * step).sum(axis=1)), np.inf)
         # Step halving: a trial is accepted only if the objective strictly
         # increases.  The full step is always tried; a stationary row stops
         # halving once the trial step is below _TOL, since any step
         # accepted from there ends the fit.
-        trial = np.empty_like(pr)
-        accepted = np.zeros(m, dtype=bool)
-        kept = None  # the accepted trials' value pass, row i for row i
-        search = out < 0
+        whole = False  # whether every row accepts on one trial
+        accepted = trial = kept = None  # the rows that accepted, their trials and value pass
         frac = 1.0
         for _ in range(_STEP_HALVING_MAX):
-            s = np.flatnonzero(search)
             if s.size == 0:
                 break
-            sel = slice(None) if s.size == m else s  # a view when every row searches
+            full = s.size == m
+            sel = slice(None) if full else s  # a view when every row searches
             t = pr[sel] + frac * step[sel]
-            t[:, 3] = np.minimum(np.maximum(t[:, 3], lor[sel]), hir[sel])
-            small = np.abs(t[:, 2]) < _BETA2_EPS
-            if small.any():
+            np.minimum(np.maximum(t[:, 3], lor[sel]), hir[sel], out=t[:, 3])
+            b2 = np.abs(t[:, 2])
+            if b2.min() < _BETA2_EPS:
+                small = b2 < _BETA2_EPS
                 t[small, 2] = np.where(t[small, 2] < 0, -_BETA2_EPS, _BETA2_EPS)
             # A trial that overflows reads -inf: rejected like one that descends.
-            values = value_rows(spec, t, *_pick(obs, sel), h)
+            values = value_rows(spec, t, *(obs if full else _pick(obs, s)), h)
             up = values[0] > qr[sel]
+            if full and up.all():
+                whole, trial, kept = True, t, values
+                break
             if up.any():
                 su = s[up]
-                trial[su], accepted[su], search[su] = t[up], True, False
-                if su.size == m:  # the whole block accepts on this trial
-                    kept = values
-                else:
-                    if kept is None:
-                        kept = tuple(np.empty((m,) + v.shape[1:]) for v in values)
-                    for k, v in zip(kept, values):
-                        k[su] = v[up]
+                if trial is None:
+                    accepted, trial = np.zeros(m, dtype=bool), np.empty_like(pr)
+                    kept = tuple(np.empty((m,) + v.shape[1:]) for v in values)
+                accepted[su], trial[su] = True, t[up]
+                for k, v in zip(kept, values):
+                    k[su] = v[up]
+                s = s[~up]
             del values  # so that no two trials' arrays are alive at once
             frac /= 2.0
-            search &= frac * limit >= _TOL
-        # A row that did not accept leaves after this iteration, so its
-        # observations and Jacobian rows go now.
-        if not accepted.all():
-            obs, Dr = _pick(obs, accepted), Dr[accepted]
-        taken = np.zeros(m)
-        acc = np.flatnonzero(accepted)
-        if acc.size:
-            sel = slice(None) if acc.size == m else acc
-            d = trial[sel] - pr[sel]
-            taken[sel] = np.sqrt((d * d).sum(axis=1))
-            pr[sel] = trial[sel]
-            # The derivative pass goes on from the accepted trials' value
-            # pass and writes into Dr.
-            kept = _pick(kept, sel)
-            qr[sel], Sr[sel], Jr[sel], Sigr[sel], ok = derivative_rows(
-                spec, pr[sel], obs[1], obs[3], kept, Dr)
+            if limit is not None:
+                s = s[frac * limit[s] >= _TOL]
+        # The length of each row's accepted step (0 if none), and the
+        # derivative pass, which goes on from the accepted trials' value
+        # pass and writes into Dr.
+        if whole:
+            if limit is not None:
+                d = trial - pr
+                taken = np.sqrt((d * d).sum(axis=1))
+            pr = trial
+            qr, Sr, Jr, Sigr, ok = derivative_rows(spec, pr, obs[1], obs[3], kept, Dr)
             if not ok.all():
-                out[acc[~ok]] = _NUMERIC
+                out[~ok] = _NUMERIC
+                stopped = True
+        else:
+            if accepted is None:
+                accepted = np.zeros(m, dtype=bool)
+            # A row that did not accept leaves after this iteration, so its
+            # observations and Jacobian rows go now.
+            if not accepted.all():
+                obs, Dr = _pick(obs, accepted), Dr[accepted]
+            taken = np.zeros(m)
+            acc = np.flatnonzero(accepted)
+            if acc.size:
+                sel = slice(None) if acc.size == m else acc
+                d = trial[sel] - pr[sel]
+                taken[sel] = np.sqrt((d * d).sum(axis=1))
+                pr[sel] = trial[sel]
+                qr[sel], Sr[sel], Jr[sel], Sigr[sel], ok = derivative_rows(
+                    spec, pr[sel], obs[1], obs[3], _pick(kept, sel), Dr)
+                if not ok.all():
+                    out[acc[~ok]] = _NUMERIC
         # Stationary: a maximum only if the curvature is negative definite.
-        stat = np.flatnonzero(grad_ok & (taken < _TOL) & (out < 0))
-        if stat.size:
-            conv = _positive_definite(Jr[stat])
-            edge = (pr[stat, 3] <= lor[stat]) | (pr[stat, 3] >= hir[stat])
-            out[stat] = np.where(conv, np.where(edge, _BOUNDARY, _CONVERGED), _STOPPED)
-        # No ascent possible and gradient still large: report partial.
-        out[~accepted & (out < 0)] = _STOPPED
+        if limit is not None:
+            stat = np.flatnonzero(grad_ok & (taken < _TOL) & (out < 0))
+            if stat.size:
+                conv = _positive_definite(Jr[stat])
+                edge = (pr[stat, 3] <= lor[stat]) | (pr[stat, 3] >= hir[stat])
+                out[stat] = np.where(conv, np.where(edge, _BOUNDARY, _CONVERGED), _STOPPED)
+                stopped = True
+        if not whole:
+            # No ascent possible and gradient still large: report partial.
+            out[~accepted & (out < 0)] = _STOPPED
+        elif not stopped:
+            continue
         leave = out >= 0
-        if leave.any():
-            g, keep = rows[leave], ~leave
-            status[g], iterations[g] = out[leave], it
-            p[g], q[g], S[g], J[g], Sig[g] = (
-                v[leave] for v in (pr, qr, Sr, Jr, Sigr))
-            rows = rows[keep]
-            stay = keep[accepted]  # obs and Dr hold the accepted rows only
+        if not leave.any():
+            continue
+        g, keep = rows[leave], ~leave
+        status[g], iterations[g] = out[leave], it
+        p[g], q[g], S[g], J[g], Sig[g] = (v[leave] for v in (pr, qr, Sr, Jr, Sigr))
+        rows = rows[keep]
+        m = rows.size
+        if m:
+            stay = keep if whole else keep[accepted]  # obs and Dr hold the accepted rows only
             obs, Dr = _pick(obs, stay), Dr[stay]
-            lor, hir, pr, qr, Sr, Jr, Sigr = _pick((lor, hir, pr, qr, Sr, Jr, Sigr), keep)
-    if rows.size:
+            lor, hir, pr, qr, Sr, Jr, Sigr, out = _pick(
+                (lor, hir, pr, qr, Sr, Jr, Sigr, out), keep)
+            every = np.arange(m)
+    if m:
         iterations[rows] = _NEWTON_MAX_ITER
         p[rows], q[rows], S[rows], J[rows], Sig[rows] = pr, qr, Sr, Jr, Sigr
     return p, q, S, J, Sig, iterations, status
@@ -564,9 +609,10 @@ def fit_stack(spec: ModelSpec, x, y, z, starts, counts=None) -> list:
     entry is bit for bit what fit_stack returns for that problem alone,
     which for a problem without counts is what fit returns.
     """
-    h = bandwidth(spec.bw, x.shape[1] if counts is None else int(counts[0].sum()))
+    N = x.shape[1] if counts is None else int(counts[0].sum())
+    h = bandwidth(spec.bw, N)
     start = np.array([s.to_array() for s in starts])
-    p, q, S, J, Sig, iterations, status = _newton(spec, x, y, z, counts, start, h)
+    p, q, S, J, Sig, iterations, status = _newton(spec, x, y, z, counts, start, h, N)
     results = []
     for g, st in enumerate(status):
         if st == _NUMERIC:
@@ -584,7 +630,7 @@ def fit_stack(spec: ModelSpec, x, y, z, starts, counts=None) -> list:
                 objective_value=float(q[g]),
                 iterations=int(iterations[g]),
                 converged=bool(st == _CONVERGED),
-                grad_norm=float(np.max(np.abs(S[g]))),
+                grad_norm=float(np.abs(S[g]).max()),
                 h_used=h,
                 neg_hessian_at_opt=J[g],
                 score_cov_at_opt=Sig[g],

@@ -140,13 +140,15 @@ def bootstrap_ci(
     Observations are split at the estimated change point (x <= tau_hat vs
     x > tau_hat) and resampled with replacement within each stratum,
     preserving stratum sizes; resample b draws from the stream
-    (*seed, b).  The resamples are refit in blocks of rows_per_block(n),
-    each block by one fit_stack call with the original estimate as every
-    problem's warm start.  A block refits on the union of the rows its
-    resamples drew, in their original order, shared by all its problems;
-    each resample is one row of counts over them, how often it drew each
-    row, zeros allowed (the weights view of the bootstrap, Efron and
-    Tibshirani 1993).  So a resample fits as its n drawn rows would, to
+    (*seed, b), the left stratum first, each stratum's rows by one
+    rng.integers(0, size, size) call, the draw of rng.choice(rows, size).
+    The resamples are refit in blocks of rows_per_block(n), each block by
+    one fit_stack call with the original estimate as every problem's warm
+    start.  A block refits on the union of the rows its resamples drew,
+    in their original order, shared by all its problems; each resample is
+    one row of counts over them, how often it drew each row, zeros
+    allowed (the weights view of the bootstrap, Efron and Tibshirani
+    1993).  So a resample fits as its n drawn rows would, to
     round-off, and a block of one (n > 8192) fits on the about 63% of
     rows that its resample drew.  The responses' support is checked once.
     Resamples whose refit fails (a KinkfitError) or does not converge are
@@ -178,10 +180,10 @@ def bootstrap_ci(
         counts = np.empty((len(reps), data.n))
         for g, b in enumerate(reps):
             rng = np.random.default_rng([*base, b])
-            idx = np.concatenate([
-                rng.choice(left, size=left.size, replace=True),
-                rng.choice(right, size=right.size, replace=True),
-            ])
+            # rng.choice(rows, size=rows.size) draws these rows from the
+            # same stream, by way of a few more array checks and copies.
+            idx = np.concatenate([rows.take(rng.integers(0, rows.size, rows.size))
+                                  for rows in (left, right)])
             counts[g] = np.bincount(idx, minlength=data.n)
         # The drawn rows, gathered with take (a fraction of the cost of
         # fancy indexing at n = 10 000) and shared by the block's problems.

@@ -192,6 +192,44 @@ def test_short_rows_count_as_missing_and_a_repeated_name_maps_to_its_last_column
     np.testing.assert_array_equal(data.y, np.arange(8.0))
 
 
+BLOCK_ROWS = ['y,x,note', '', '1, 0.5 ,a', '0.5', ',1.0,b', '2,\t1.5,"two\nlines"', '3, ,c',
+              '4,2.5,d', '5,3.0', '6,3.5,e', '7,4.0,f', '8,4.5,g']
+
+
+@pytest.mark.parametrize("row, cell, what", [
+    (None, None, None), (9, "1_0", "non-numeric"), (11, "abc", "non-numeric"),
+    (10, "nan", "non-finite"), (9, "inf", "non-finite"),
+])
+def test_reading_in_blocks_keeps_every_rule(tmp_path, monkeypatch, row, cell, what):
+    # A blank line, short rows, an empty and a whitespace-only cell, padded
+    # numbers and a quoted note spanning two lines, then a bad x cell in a
+    # later block: three rows a block name the same cells and drop the same
+    # rows as one block.
+    from kinkfit import cli
+
+    rows = list(BLOCK_ROWS)
+    if cell is not None:
+        y, _, note = rows[row].split(",")
+        rows[row] = ",".join([y, cell, note])
+    p = tmp_path / "blocks.csv"
+    p.write_text("\n".join(rows) + "\n")
+    results = []
+    for block in (len(rows), 3):
+        monkeypatch.setattr(cli, "_CAST_ROWS", block)
+        try:
+            data, dropped = ingest_csv(p, "y", "x", [], Family.NORMAL_IDENTITY)
+            results.append((dropped, data.x.tolist(), data.y.tolist()))
+        except DataError as exc:
+            results.append(str(exc))
+    assert results[0] == results[1]
+    if cell is None:
+        assert results[0] == (3, [0.5, 1.5, 2.5, 3.0, 3.5, 4.0, 4.5], [1, 2, 4, 5, 6, 7, 8])
+    else:
+        value = repr(cell) if what == "non-numeric" else cell
+        # the file line: after the note's two lines, one more than the row
+        assert results[0] == f"{p} row {row + 2}, column 'x': {what} value {value}"
+
+
 def test_out_of_support_response_exit_code(tmp_path, capsys):
     p = tmp_path / "sup.csv"
     rows = [[i % 2, 0.1 * i] for i in range(30)]

@@ -1,6 +1,7 @@
 """Profile initialization, Newton ascent, fixed-bend GLM fits."""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import expit
 
 from kinkfit import estimator
@@ -311,6 +312,34 @@ def test_second_extremes_are_those_of_the_expansion():
             for g in range(3):
                 xs = np.sort(x[g])
                 assert (lo[g], hi[g]) == (xs[1], xs[-2])
+
+
+# A few values, so that rows tie and repeat, at the extremes too, and
+# any finite value besides.
+X_VALUES = st.one_of(st.sampled_from([-2.0, -0.5, 0.0, 1.5, 3.0]),
+                     st.floats(-1e6, 1e6, allow_nan=False))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=st.data(), G=st.integers(1, 4), n=st.integers(1, 9), counted=st.booleans())
+def test_second_extremes_are_the_expansions_order_statistics(data, G, n, counted):
+    # Per row, x(2) and x(N-1) of np.repeat(x[g], c[g]), the N >= 2
+    # observations it stands for; counts from 0 to 3 (0: no observation),
+    # held as floats as a bootstrap block holds them.  c = None counts
+    # every row once.
+    x = np.array(data.draw(st.lists(st.lists(X_VALUES, min_size=n, max_size=n),
+                                    min_size=G, max_size=G)))
+    if counted:
+        counts = st.lists(st.integers(0, 3), min_size=n, max_size=n).filter(lambda r: sum(r) >= 2)
+        c = np.array(data.draw(st.lists(counts, min_size=G, max_size=G)))
+    else:
+        if n < 2:
+            return
+        c = np.ones((G, n), dtype=int)
+    lo, hi = estimator._second_extremes(x, c.astype(float) if counted else None)
+    for g in range(G):
+        xs = np.sort(np.repeat(x[g], c[g]))
+        assert (lo[g], hi[g]) == (xs[1], xs[-2])
 
 
 @pytest.mark.parametrize("end_counts, tie", COUNT_CASES)

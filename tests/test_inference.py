@@ -275,6 +275,37 @@ def bootstrap_by_take(spec, data, fit_result, B, seed):
     return inf._percentile_interval(np.asarray(draws), 0.95), len(draws)
 
 
+@pytest.mark.parametrize("seed", [0, (3, 7)])
+def test_bootstrap_counts_are_the_choice_draws(seed, monkeypatch):
+    # The counts that bootstrap_ci hands to fit_stack are those of
+    # rng.choice draws from the stream (*seed, b), left stratum first: a
+    # draw that changes the stream fails here.  n = 400 gives blocks of
+    # 40 resamples; the first block's first 20 are checked.  Every refit
+    # returns the original fit, so that no refit runs.
+    spec, data, res = fitted(seed=2)
+    blocks = []
+
+    def capture(spec, x, y, z, starts, counts=None):
+        blocks.append((x[0].copy(), counts.copy()))
+        return [res] * len(starts)
+
+    monkeypatch.setattr(inf, "fit_stack", capture)
+    bootstrap_ci(spec, data, res, B=200, seed=seed)
+    x, counts = blocks[0]
+    left = np.flatnonzero(data.x <= res.params.tau)
+    right = np.flatnonzero(data.x > res.params.tau)
+    base = list(seed) if isinstance(seed, tuple) else [seed]
+    expected = np.empty((len(counts), data.n))
+    for b in range(len(counts)):
+        rng = np.random.default_rng([*base, b])
+        idx = np.concatenate([rng.choice(left, size=left.size, replace=True),
+                              rng.choice(right, size=right.size, replace=True)])
+        expected[b] = np.bincount(idx, minlength=data.n)
+    drawn = np.flatnonzero(expected.any(axis=0))
+    np.testing.assert_array_equal(x, data.x[drawn])
+    np.testing.assert_array_equal(counts[:20], expected[:20, drawn])
+
+
 def linearized_delta_se(spec, data, tau0):
     """Reference for the delta route: the standard errors of the GLM
     linearized at tau0 (Muggeo 2003), in the constructed regressors
